@@ -27,7 +27,7 @@ const N_1D: usize = 100_000;
 const N_MULTI: usize = 20_000;
 
 /// Dimension counts under measurement: the `d == 1` scalar dispatch, the
-/// `d ∈ {2, 4}` inline-lane (SIMD kernel) dispatch at both ends of its
+/// `d ∈ {2, 4}` inline-lane kernel dispatch at both ends of its
 /// range, and the `d = 8` generic spill regime.
 const DIMS: [usize; 4] = [1, 2, 4, 8];
 

@@ -114,9 +114,9 @@ impl CacheFilter {
     /// Fused acceptance test + run update: absorbs `(t, x)` into the run
     /// and returns `true`, or leaves the run untouched and returns
     /// `false`. Every dispatch branch evaluates the same expression tree
-    /// — min/max use compare-and-select (`a < b ? a : b`) semantics to
-    /// match the SIMD instructions bit-for-bit — so the output stream is
-    /// byte-identical across dispatches (pinned by the proptests).
+    /// — min/max use compare-and-select (`a < b ? a : b`) semantics in
+    /// every branch — so the output stream is byte-identical across
+    /// dispatches (pinned by the proptests).
     ///
     /// Associated (not `&self`) so the push hot path can run while
     /// holding a disjoint mutable borrow of the live run.
@@ -131,7 +131,7 @@ impl CacheFilter {
         let accepted = match variant {
             CacheVariant::FirstValue => {
                 let fit = match dispatch {
-                    Dispatch::Lanes(k) => kern::fits_const(k, run.first.lanes(), eps.lanes(), x),
+                    Dispatch::Lanes => kern::fits_const(run.first.lanes(), eps.lanes(), x),
                     _ => {
                         let first = run.first.as_slice();
                         !violates(eps.as_slice(), x, |d| first[d])
@@ -139,8 +139,7 @@ impl CacheFilter {
                 };
                 if fit {
                     match dispatch {
-                        Dispatch::Lanes(k) => kern::minmax_sum(
-                            k,
+                        Dispatch::Lanes => kern::minmax_sum(
                             run.min.lanes_mut(),
                             run.max.lanes_mut(),
                             run.sum.lanes_mut(),
@@ -163,8 +162,7 @@ impl CacheFilter {
             // Run stays representable while every dimension's range,
             // including the candidate, spans at most 2ε.
             CacheVariant::Midrange | CacheVariant::Mean => match dispatch {
-                Dispatch::Lanes(k) => kern::range_step(
-                    k,
+                Dispatch::Lanes => kern::range_step(
                     run.min.lanes_mut(),
                     run.max.lanes_mut(),
                     run.sum.lanes_mut(),

@@ -228,8 +228,8 @@ impl KalmanFilter {
     fn fits(dispatch: Dispatch, eps: &DimVec<f64>, iv: &Interval, t: f64, x: &[f64]) -> bool {
         let dt = t - iv.anchor_t;
         match dispatch {
-            Dispatch::Lanes(k) => {
-                kern::fits_affine(k, iv.anchor_x.lanes(), iv.slopes.lanes(), eps.lanes(), dt, x)
+            Dispatch::Lanes => {
+                kern::fits_affine(iv.anchor_x.lanes(), iv.slopes.lanes(), eps.lanes(), dt, x)
             }
             _ => {
                 let (anchor_x, slopes) = (iv.anchor_x.as_slice(), iv.slopes.as_slice());

@@ -185,8 +185,8 @@ impl LinearFilter {
     fn fits(dispatch: Dispatch, eps: &DimVec<f64>, lines: &SharedLines, t: f64, x: &[f64]) -> bool {
         let dt = t - lines.t0;
         match dispatch {
-            Dispatch::Lanes(k) => {
-                kern::fits_affine(k, lines.x0.lanes(), lines.slope.lanes(), eps.lanes(), dt, x)
+            Dispatch::Lanes => {
+                kern::fits_affine(lines.x0.lanes(), lines.slope.lanes(), eps.lanes(), dt, x)
             }
             _ => {
                 let (x0, slope) = (lines.x0.as_slice(), lines.slope.as_slice());

@@ -6,33 +6,25 @@
 //! range update of the cache filter, the affine residual tests of the
 //! linear and Kalman filters, and the regression-sum accumulation they
 //! share. For `2 ≤ d ≤ INLINE_DIMS` those loops run over [`DimVec`]'s
-//! inline block — a fixed `[f64; 4]` — so they map 1:1 onto 4-lane SIMD.
+//! inline block — a fixed `[f64; 4]` — so each becomes a loop of
+//! constant trip count with no bounds checks, which the compiler is free
+//! to unroll or vectorize.
 //!
-//! This module provides each of those loops as a *lane operation* with
-//! three interchangeable backends:
-//!
-//! | backend  | selected when |
-//! |----------|---------------|
-//! | `Scalar` | portable fallback: plain loop over all 4 lanes |
-//! | `Sse2`   | x86_64 (SSE2 is baseline), two `__m128d` halves |
-//! | `Avx2`   | x86_64 with AVX2 detected at runtime, one `__m256d` |
-//!
-//! The backend is chosen **once** per process ([`Kernel::detect`],
-//! overridable via the `PLA_KERNEL` env var) and baked into each
-//! filter's [`Dispatch`] at construction time — there is no per-point
-//! branching beyond a single enum match.
+//! This module provides each of those loops as a *lane operation*: one
+//! portable function over all [`LANES`] lanes. A filter picks its
+//! [`Dispatch`] once at construction; there is no per-point branching
+//! beyond a single enum match.
 //!
 //! ## Byte-identity contract
 //!
-//! Every backend of every lane op evaluates the *same expression tree*
-//! in the same order as the generic per-dimension loop it replaces:
-//! same associativity, no FMA contraction, conditional updates expressed
-//! as compute-candidate + mask-blend (which preserves the untouched
-//! value bit-for-bit). Inputs are pre-validated finite (`validate_push`
-//! rejects NaN/±inf before any kernel runs), so IEEE-754 guarantees the
-//! per-lane results are bit-equal across backends. The proptests in
-//! `batch_proptests.rs` pin this: `Segment`/`ProvisionalUpdate` streams
-//! must be identical under every dispatch.
+//! Every lane op evaluates the *same expression tree* in the same order
+//! as the generic per-dimension loop it replaces: same associativity, no
+//! FMA contraction, conditional updates that leave untouched values
+//! bit-for-bit alone. Inputs are pre-validated finite (`validate_push`
+//! rejects NaN/±inf before any kernel runs), so the `Lanes` dispatch is
+//! bit-equal to `Generic`. The proptests in `batch_proptests.rs` pin
+//! this: `Segment`/`ProvisionalUpdate` streams must be identical under
+//! every dispatch.
 //!
 //! ## Padding lanes
 //!
@@ -42,126 +34,27 @@
 //! All-zero lanes are constructed to be neutral: they pass every fits
 //! test (`0 ∈ [0, 0]`) and absorb every update as a no-op, so no
 //! masking by `d` is needed.
-
-use std::sync::OnceLock;
+//!
+//! [`DimVec`]: crate::DimVec
 
 use crate::dimvec::INLINE_DIMS;
 
 /// Number of f64 lanes each kernel processes — [`INLINE_DIMS`].
 pub const LANES: usize = INLINE_DIMS;
 
-/// The SIMD backend a filter's lane dispatch uses.
-///
-/// Selected once per process by [`Kernel::detect`]; every backend is
-/// byte-identical to every other (see the module docs), so the choice
-/// affects speed only.
+/// The lane backend in use. There is one: the portable lane ops of this
+/// module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
-    /// Portable scalar loop over all lanes — the fallback on non-x86_64
-    /// targets and under `PLA_KERNEL=scalar`.
+    /// Portable loops over all [`LANES`] lanes.
     Scalar,
-    /// x86_64 SSE2: two 128-bit halves. Baseline on x86_64.
-    Sse2,
-    /// x86_64 AVX2: one 256-bit vector. Requires runtime detection.
-    Avx2,
 }
 
 impl Kernel {
-    /// The best backend this CPU supports, probed once per process.
-    ///
-    /// Feature detection alone is not enough to pick a winner: on some
-    /// server parts, 256-bit AVX2 triggers license-based frequency
-    /// scaling that slows the *surrounding scalar code* (hull updates,
-    /// validation, sinks) by more than the 4-lane f64 kernels gain. So
-    /// among the backends the CPU supports, detection times each on a
-    /// short synthetic push loop (the swing-step + regression-sums mix)
-    /// and keeps the fastest — a one-time cost of a few milliseconds,
-    /// cached for the process lifetime. Every backend is byte-identical,
-    /// so a "wrong" pick under timing noise only costs speed.
-    ///
-    /// The `PLA_KERNEL` environment variable (read at first call only)
-    /// overrides everything: `scalar`, `sse2`, or `avx2`. Requesting a
-    /// backend the CPU lacks, or any unknown value, falls back to the
-    /// probed best — the variable can force kernels *off* everywhere
-    /// but never selects an unsupported path.
+    /// Reports the lane backend (always [`Kernel::Scalar`]). Kept so the
+    /// pipeline benchmark can name the backend in its log line.
     pub fn detect() -> Self {
-        static ACTIVE: OnceLock<Kernel> = OnceLock::new();
-        *ACTIVE.get_or_init(Self::probe)
-    }
-
-    fn probe() -> Self {
-        let want = std::env::var("PLA_KERNEL").ok();
-        if want.as_deref() == Some("scalar") {
-            return Kernel::Scalar;
-        }
-        #[cfg(target_arch = "x86_64")]
-        {
-            let avx2 = is_x86_feature_detected!("avx2");
-            match want.as_deref() {
-                Some("sse2") => return Kernel::Sse2,
-                Some("avx2") if avx2 => return Kernel::Avx2,
-                _ => {}
-            }
-            let mut best = (Kernel::Sse2, Self::time_backend(Kernel::Sse2));
-            if avx2 {
-                let t = Self::time_backend(Kernel::Avx2);
-                // The probe only times the kernel ops themselves; on parts
-                // with license-based downclocking, 256-bit use also slows
-                // the *surrounding* scalar code for a while, which the
-                // probe cannot see. Require a clear margin before leaving
-                // the 128-bit path so measurement jitter never flips an
-                // essentially tied comparison toward that hidden cost.
-                if t.as_nanos() * 10 < best.1.as_nanos() * 9 {
-                    best = (Kernel::Avx2, t);
-                }
-            }
-            best.0
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            Kernel::Scalar
-        }
-    }
-
-    /// Times one backend on a synthetic accept-path loop: `swing_step`
-    /// plus `sums_push` per iteration, the per-sample kernel mix of the
-    /// swing filter's hot path. One warm-up round lets frequency-license
-    /// effects (which persist for milliseconds after 256-bit use) settle
-    /// into the measured rounds; the best measured round is the score.
-    #[cfg(target_arch = "x86_64")]
-    fn time_backend(k: Kernel) -> std::time::Duration {
-        use std::hint::black_box;
-        const ITERS: u64 = 20_000;
-        let origin = [0.0, 1.0, -1.0, 0.5];
-        let eps = [0.75; LANES];
-        let fresh_l = [-10.0, -10.5, -12.0, -11.5];
-        let fresh_u = [10.0, 10.5, 12.0, 11.5];
-        let mut best = std::time::Duration::MAX;
-        let mut seed = 0x9E3779B97F4A7C15u64;
-        // Round 0 is warm-up and is not scored.
-        for round in 0..4 {
-            let (mut l, mut u) = (fresh_l, fresh_u);
-            let mut sv = [0.0; LANES];
-            let mut suv = [0.0; LANES];
-            let start = std::time::Instant::now();
-            for i in 0..ITERS {
-                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                let jitter = ((seed >> 33) as f64 / (1u64 << 31) as f64) - 0.5;
-                let dt = (i + 1) as f64;
-                let x = [jitter, 1.0 - jitter, -1.0 + jitter, 0.5 + jitter];
-                if !swing_step(k, &origin, &eps, dt, &x, &mut l, &mut u) {
-                    l = fresh_l;
-                    u = fresh_u;
-                }
-                sums_push(k, &origin, &mut sv, &mut suv, dt, &x);
-            }
-            let took = start.elapsed();
-            black_box((l, u, sv, suv));
-            if round > 0 && took < best {
-                best = took;
-            }
-        }
-        best
+        Kernel::Scalar
     }
 }
 
@@ -171,11 +64,11 @@ impl Kernel {
 /// across all three modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dispatch {
-    /// The monomorphized `d == 1` scalar fast path (PR 3).
+    /// The monomorphized `d == 1` scalar fast path.
     Scalar1,
-    /// `2 ≤ d ≤ INLINE_DIMS`: fixed-width lane kernels on the given
-    /// backend, operating on the `DimVec` inline block directly.
-    Lanes(Kernel),
+    /// `2 ≤ d ≤ INLINE_DIMS`: fixed-width lane kernels operating on the
+    /// `DimVec` inline block directly.
+    Lanes,
     /// Per-dimension loop over slices — the only dispatch valid at
     /// every `d`, and the reference semantics the others must match.
     Generic,
@@ -190,7 +83,7 @@ impl Dispatch {
     pub fn auto(dims: usize, scalar1: bool) -> Self {
         match dims {
             1 if scalar1 => Dispatch::Scalar1,
-            2..=LANES => Dispatch::Lanes(Kernel::detect()),
+            2..=LANES => Dispatch::Lanes,
             _ => Dispatch::Generic,
         }
     }
@@ -198,14 +91,11 @@ impl Dispatch {
     /// `self` if it is valid for `dims`, otherwise [`Dispatch::auto`].
     ///
     /// Guards the doc-hidden test overrides: `Scalar1` requires
-    /// `d == 1`, `Lanes` requires `2 ≤ d ≤ INLINE_DIMS` (and a
-    /// non-scalar backend requires x86_64).
+    /// `d == 1`, `Lanes` requires `2 ≤ d ≤ INLINE_DIMS`.
     pub fn sanitized(self, dims: usize, scalar1: bool) -> Self {
         let valid = match self {
             Dispatch::Scalar1 => dims == 1 && scalar1,
-            Dispatch::Lanes(k) => {
-                (2..=LANES).contains(&dims) && (cfg!(target_arch = "x86_64") || k == Kernel::Scalar)
-            }
+            Dispatch::Lanes => (2..=LANES).contains(&dims),
             Dispatch::Generic => true,
         };
         if valid {
@@ -218,7 +108,7 @@ impl Dispatch {
 
 /// Copies `x` (length ≤ [`LANES`]) into a zero-padded lane block.
 #[inline(always)]
-pub(crate) fn pad4(x: &[f64]) -> [f64; LANES] {
+fn pad4(x: &[f64]) -> [f64; LANES] {
     debug_assert!(x.len() <= LANES);
     let mut a = [0.0; LANES];
     a[..x.len()].copy_from_slice(x);
@@ -244,24 +134,6 @@ pub(crate) struct SlideStep {
     pub needs_u: u32,
 }
 
-macro_rules! dispatch_kernel {
-    ($k:expr, $scalar:expr, $sse2:path, $avx2:path, ($($arg:expr),*)) => {
-        match $k {
-            Kernel::Scalar => $scalar,
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: non-scalar `Kernel` values are only constructed by
-            // `Kernel::probe` (which requires the feature at runtime) or
-            // sanitized test overrides on x86_64, where SSE2 is baseline
-            // and Avx2 is gated on `is_x86_feature_detected!`.
-            Kernel::Sse2 => unsafe { $sse2($($arg),*) },
-            #[cfg(target_arch = "x86_64")]
-            Kernel::Avx2 => unsafe { $avx2($($arg),*) },
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => $scalar,
-        }
-    };
-}
-
 /// Fused swing-filter step: the band fits test, and — when the point
 /// fits — the conditional upper/lower slope clamps, in one pass.
 ///
@@ -272,7 +144,6 @@ macro_rules! dispatch_kernel {
 /// value. Returns whether the point fit (no mutation on a miss).
 #[inline(always)]
 pub(crate) fn swing_step(
-    k: Kernel,
     origin: &[f64; LANES],
     eps: &[f64; LANES],
     dt: f64,
@@ -280,14 +151,27 @@ pub(crate) fn swing_step(
     l: &mut [f64; LANES],
     u: &mut [f64; LANES],
 ) -> bool {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::swing_step(origin, eps, dt, &xp, l, u),
-        x86::swing_step_sse2,
-        x86::swing_step_avx2,
-        (origin, eps, dt, &xp, l, u)
-    )
+    let x = &pad4(x);
+    let mut lo_val = [0.0; LANES];
+    let mut hi_val = [0.0; LANES];
+    let mut ok = true;
+    for d in 0..LANES {
+        lo_val[d] = origin[d] + l[d] * dt;
+        hi_val[d] = origin[d] + u[d] * dt;
+        ok &= x[d] >= lo_val[d] - eps[d] && x[d] <= hi_val[d] + eps[d];
+    }
+    if !ok {
+        return false;
+    }
+    for d in 0..LANES {
+        if x[d] - eps[d] > lo_val[d] {
+            l[d] = (x[d] - eps[d] - origin[d]) / dt;
+        }
+        if x[d] + eps[d] < hi_val[d] {
+            u[d] = (x[d] + eps[d] - origin[d]) / dt;
+        }
+    }
+    true
 }
 
 /// Affine residual fits test: `|v − (anchor + slope·dt)| ≤ ε` in every
@@ -295,35 +179,30 @@ pub(crate) fn swing_step(
 /// filter (shared anchor time), and the Kalman filter's intervals.
 #[inline(always)]
 pub(crate) fn fits_affine(
-    k: Kernel,
     anchor: &[f64; LANES],
     slope: &[f64; LANES],
     eps: &[f64; LANES],
     dt: f64,
     x: &[f64],
 ) -> bool {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::fits_affine(anchor, slope, eps, dt, &xp),
-        x86::fits_affine_sse2,
-        x86::fits_affine_avx2,
-        (anchor, slope, eps, dt, &xp)
-    )
+    let x = &pad4(x);
+    let mut ok = true;
+    for d in 0..LANES {
+        ok &= (x[d] - (anchor[d] + slope[d] * dt)).abs() <= eps[d];
+    }
+    ok
 }
 
 /// Constant-prediction fits test: `|v − c| ≤ ε` in every dimension
 /// (the cache filter's first-value acceptance).
 #[inline(always)]
-pub(crate) fn fits_const(k: Kernel, center: &[f64; LANES], eps: &[f64; LANES], x: &[f64]) -> bool {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::fits_const(center, eps, &xp),
-        x86::fits_const_sse2,
-        x86::fits_const_avx2,
-        (center, eps, &xp)
-    )
+pub(crate) fn fits_const(center: &[f64; LANES], eps: &[f64; LANES], x: &[f64]) -> bool {
+    let x = &pad4(x);
+    let mut ok = true;
+    for d in 0..LANES {
+        ok &= (x[d] - center[d]).abs() <= eps[d];
+    }
+    ok
 }
 
 /// Fused slide-filter step: evaluates both envelopes once, runs the
@@ -331,27 +210,33 @@ pub(crate) fn fits_const(k: Kernel, center: &[f64; LANES], eps: &[f64; LANES], x
 /// reports per-lane whether the point pierces an envelope
 /// (`v > l(t) + ε` / `v < u(t) − ε`) and so needs a hull-tangent
 /// rebuild. Pure: the caller applies the rebuilds.
-///
-/// The filter hot path uses the fused [`slide_step_mse`] instead; this
-/// stands alone for the cross-backend equivalence tests.
-#[cfg_attr(not(test), allow(dead_code))]
 #[inline(always)]
 pub(crate) fn slide_step(
-    k: Kernel,
     u: EnvView<'_>,
     l: EnvView<'_>,
     eps: &[f64; LANES],
     t: f64,
     x: &[f64],
 ) -> SlideStep {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::slide_step(&u, &l, eps, t, &xp),
-        x86::slide_step_sse2,
-        x86::slide_step_avx2,
-        (&u, &l, eps, t, &xp)
-    )
+    let x = &pad4(x);
+    let mut ue = [0.0; LANES];
+    let mut le = [0.0; LANES];
+    let mut ok = true;
+    for d in 0..LANES {
+        ue[d] = u.x0[d] + u.slope[d] * (t - u.t0[d]);
+        le[d] = l.x0[d] + l.slope[d] * (t - l.t0[d]);
+        ok &= x[d] <= ue[d] + eps[d] && x[d] >= le[d] - eps[d];
+    }
+    if !ok {
+        return SlideStep { fits: false, needs_l: 0, needs_u: 0 };
+    }
+    let mut needs_l = 0u32;
+    let mut needs_u = 0u32;
+    for d in 0..LANES {
+        needs_l |= u32::from(x[d] > le[d] + eps[d]) << d;
+        needs_u |= u32::from(x[d] < ue[d] - eps[d]) << d;
+    }
+    SlideStep { fits: true, needs_l, needs_u }
 }
 
 /// Fused cache-filter range step: extends the running min/max with the
@@ -359,801 +244,70 @@ pub(crate) fn slide_step(
 /// acceptance commits the extended range and `sum += v`. Returns
 /// whether the point was accepted (no mutation on a miss).
 ///
-/// Min/max use compare-and-select (`a < b ? a : b`) semantics in every
-/// backend — identical to `_mm_min_pd`/`_mm_max_pd` and, for the
+/// Min/max use compare-and-select (`a < b ? a : b`) semantics — for the
 /// validated (non-NaN) inputs filters see, value-identical to
 /// `f64::min`/`f64::max`.
 #[inline(always)]
 pub(crate) fn range_step(
-    k: Kernel,
     min: &mut [f64; LANES],
     max: &mut [f64; LANES],
     sum: &mut [f64; LANES],
     eps: &[f64; LANES],
     x: &[f64],
 ) -> bool {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::range_step(min, max, sum, eps, &xp),
-        x86::range_step_sse2,
-        x86::range_step_avx2,
-        (min, max, sum, eps, &xp)
-    )
+    let x = &pad4(x);
+    let mut lo = [0.0; LANES];
+    let mut hi = [0.0; LANES];
+    let mut ok = true;
+    for d in 0..LANES {
+        // Compare-and-select min/max: see the doc comment above.
+        lo[d] = if min[d] < x[d] { min[d] } else { x[d] };
+        hi[d] = if max[d] > x[d] { max[d] } else { x[d] };
+        ok &= hi[d] - lo[d] <= 2.0 * eps[d];
+    }
+    if !ok {
+        return false;
+    }
+    *min = lo;
+    *max = hi;
+    for d in 0..LANES {
+        sum[d] += x[d];
+    }
+    true
 }
 
 /// Unconditional min/max/sum absorb (the cache filter's first-value
 /// variant, whose acceptance test doesn't involve the range).
 #[inline(always)]
 pub(crate) fn minmax_sum(
-    k: Kernel,
     min: &mut [f64; LANES],
     max: &mut [f64; LANES],
     sum: &mut [f64; LANES],
     x: &[f64],
 ) {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::minmax_sum(min, max, sum, &xp),
-        x86::minmax_sum_sse2,
-        x86::minmax_sum_avx2,
-        (min, max, sum, &xp)
-    )
+    let x = &pad4(x);
+    for d in 0..LANES {
+        min[d] = if min[d] < x[d] { min[d] } else { x[d] };
+        max[d] = if max[d] > x[d] { max[d] } else { x[d] };
+        sum[d] += x[d];
+    }
 }
 
 /// Per-dimension regression-sum accumulation (`RegressionSums::push`):
 /// `v = x − x_ref`, `sv += v`, `suv += u·v`.
 #[inline(always)]
 pub(crate) fn sums_push(
-    k: Kernel,
     x_ref: &[f64; LANES],
     sv: &mut [f64; LANES],
     suv: &mut [f64; LANES],
     u: f64,
     x: &[f64],
 ) {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::sums_push(x_ref, sv, suv, u, &xp),
-        x86::sums_push_sse2,
-        x86::sums_push_avx2,
-        (x_ref, sv, suv, u, &xp)
-    )
-}
-
-/// Fused [`swing_step`] + [`sums_push`]: one kernel call (one pad, one
-/// dispatch) for the swing filter's dominant accept path. The sums are
-/// accumulated only when the point fits, with arithmetic identical to
-/// the two separate calls — fusing changes call count, never values.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn swing_step_mse(
-    k: Kernel,
-    origin: &[f64; LANES],
-    eps: &[f64; LANES],
-    dt: f64,
-    x: &[f64],
-    l: &mut [f64; LANES],
-    u: &mut [f64; LANES],
-    x_ref: &[f64; LANES],
-    sv: &mut [f64; LANES],
-    suv: &mut [f64; LANES],
-    ut: f64,
-) -> bool {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::swing_step_mse(origin, eps, dt, &xp, l, u, x_ref, sv, suv, ut),
-        x86::swing_step_mse_sse2,
-        x86::swing_step_mse_avx2,
-        (origin, eps, dt, &xp, l, u, x_ref, sv, suv, ut)
-    )
-}
-
-/// Fused [`slide_step`] + [`sums_push`]: one kernel call for the slide
-/// filter's accept path. Sums are accumulated only when the point fits;
-/// arithmetic is identical to the two separate calls.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn slide_step_mse(
-    k: Kernel,
-    u: EnvView<'_>,
-    l: EnvView<'_>,
-    eps: &[f64; LANES],
-    t: f64,
-    x: &[f64],
-    x_ref: &[f64; LANES],
-    sv: &mut [f64; LANES],
-    suv: &mut [f64; LANES],
-    ut: f64,
-) -> SlideStep {
-    let xp = pad4(x);
-    dispatch_kernel!(
-        k,
-        scalar::slide_step_mse(&u, &l, eps, t, &xp, x_ref, sv, suv, ut),
-        x86::slide_step_mse_sse2,
-        x86::slide_step_mse_avx2,
-        (&u, &l, eps, t, &xp, x_ref, sv, suv, ut)
-    )
-}
-
-/// Portable reference backend: plain loops over all four lanes, written
-/// with the exact expression trees the SIMD backends replicate.
-mod scalar {
-    use super::{EnvView, SlideStep, LANES};
-
-    pub(super) fn swing_step(
-        origin: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-        l: &mut [f64; LANES],
-        u: &mut [f64; LANES],
-    ) -> bool {
-        let mut lo_val = [0.0; LANES];
-        let mut hi_val = [0.0; LANES];
-        let mut ok = true;
-        for d in 0..LANES {
-            lo_val[d] = origin[d] + l[d] * dt;
-            hi_val[d] = origin[d] + u[d] * dt;
-            ok &= x[d] >= lo_val[d] - eps[d] && x[d] <= hi_val[d] + eps[d];
-        }
-        if !ok {
-            return false;
-        }
-        for d in 0..LANES {
-            if x[d] - eps[d] > lo_val[d] {
-                l[d] = (x[d] - eps[d] - origin[d]) / dt;
-            }
-            if x[d] + eps[d] < hi_val[d] {
-                u[d] = (x[d] + eps[d] - origin[d]) / dt;
-            }
-        }
-        true
-    }
-
-    pub(super) fn fits_affine(
-        anchor: &[f64; LANES],
-        slope: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-    ) -> bool {
-        let mut ok = true;
-        for d in 0..LANES {
-            ok &= (x[d] - (anchor[d] + slope[d] * dt)).abs() <= eps[d];
-        }
-        ok
-    }
-
-    pub(super) fn fits_const(center: &[f64; LANES], eps: &[f64; LANES], x: &[f64; LANES]) -> bool {
-        let mut ok = true;
-        for d in 0..LANES {
-            ok &= (x[d] - center[d]).abs() <= eps[d];
-        }
-        ok
-    }
-
-    pub(super) fn slide_step(
-        u: &EnvView<'_>,
-        l: &EnvView<'_>,
-        eps: &[f64; LANES],
-        t: f64,
-        x: &[f64; LANES],
-    ) -> SlideStep {
-        let mut ue = [0.0; LANES];
-        let mut le = [0.0; LANES];
-        let mut ok = true;
-        for d in 0..LANES {
-            ue[d] = u.x0[d] + u.slope[d] * (t - u.t0[d]);
-            le[d] = l.x0[d] + l.slope[d] * (t - l.t0[d]);
-            ok &= x[d] <= ue[d] + eps[d] && x[d] >= le[d] - eps[d];
-        }
-        if !ok {
-            return SlideStep { fits: false, needs_l: 0, needs_u: 0 };
-        }
-        let mut needs_l = 0u32;
-        let mut needs_u = 0u32;
-        for d in 0..LANES {
-            needs_l |= u32::from(x[d] > le[d] + eps[d]) << d;
-            needs_u |= u32::from(x[d] < ue[d] - eps[d]) << d;
-        }
-        SlideStep { fits: true, needs_l, needs_u }
-    }
-
-    pub(super) fn range_step(
-        min: &mut [f64; LANES],
-        max: &mut [f64; LANES],
-        sum: &mut [f64; LANES],
-        eps: &[f64; LANES],
-        x: &[f64; LANES],
-    ) -> bool {
-        let mut lo = [0.0; LANES];
-        let mut hi = [0.0; LANES];
-        let mut ok = true;
-        for d in 0..LANES {
-            // Compare-and-select min/max: see the `range_step` docs.
-            lo[d] = if min[d] < x[d] { min[d] } else { x[d] };
-            hi[d] = if max[d] > x[d] { max[d] } else { x[d] };
-            ok &= hi[d] - lo[d] <= 2.0 * eps[d];
-        }
-        if !ok {
-            return false;
-        }
-        *min = lo;
-        *max = hi;
-        for d in 0..LANES {
-            sum[d] += x[d];
-        }
-        true
-    }
-
-    pub(super) fn minmax_sum(
-        min: &mut [f64; LANES],
-        max: &mut [f64; LANES],
-        sum: &mut [f64; LANES],
-        x: &[f64; LANES],
-    ) {
-        for d in 0..LANES {
-            min[d] = if min[d] < x[d] { min[d] } else { x[d] };
-            max[d] = if max[d] > x[d] { max[d] } else { x[d] };
-            sum[d] += x[d];
-        }
-    }
-
-    pub(super) fn sums_push(
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        u: f64,
-        x: &[f64; LANES],
-    ) {
-        for d in 0..LANES {
-            let v = x[d] - x_ref[d];
-            sv[d] += v;
-            suv[d] += u * v;
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn swing_step_mse(
-        origin: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-        l: &mut [f64; LANES],
-        u: &mut [f64; LANES],
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        ut: f64,
-    ) -> bool {
-        if !swing_step(origin, eps, dt, x, l, u) {
-            return false;
-        }
-        sums_push(x_ref, sv, suv, ut, x);
-        true
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn slide_step_mse(
-        u: &EnvView<'_>,
-        l: &EnvView<'_>,
-        eps: &[f64; LANES],
-        t: f64,
-        x: &[f64; LANES],
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        ut: f64,
-    ) -> SlideStep {
-        let s = slide_step(u, l, eps, t, x);
-        if s.fits {
-            sums_push(x_ref, sv, suv, ut, x);
-        }
-        s
-    }
-}
-
-/// x86_64 SSE2/AVX2 backends. Each function's body is the scalar
-/// expression tree transcribed lane-parallel: same associativity, no
-/// FMA, conditionals as compare + blend.
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use std::arch::x86_64::*;
-
-    use super::{EnvView, SlideStep, LANES};
-
-    #[inline(always)]
-    unsafe fn lo(a: &[f64; LANES]) -> __m128d {
-        unsafe { _mm_loadu_pd(a.as_ptr()) }
-    }
-
-    #[inline(always)]
-    unsafe fn hi(a: &[f64; LANES]) -> __m128d {
-        unsafe { _mm_loadu_pd(a.as_ptr().add(2)) }
-    }
-
-    #[inline(always)]
-    unsafe fn store(a: &mut [f64; LANES], l: __m128d, h: __m128d) {
-        unsafe {
-            _mm_storeu_pd(a.as_mut_ptr(), l);
-            _mm_storeu_pd(a.as_mut_ptr().add(2), h);
-        }
-    }
-
-    /// `mask ? a : b` per lane, bit-exact (SSE2 has no blendv).
-    #[inline(always)]
-    unsafe fn sel(mask: __m128d, a: __m128d, b: __m128d) -> __m128d {
-        unsafe { _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b)) }
-    }
-
-    #[inline(always)]
-    unsafe fn load4(a: &[f64; LANES]) -> __m256d {
-        unsafe { _mm256_loadu_pd(a.as_ptr()) }
-    }
-
-    const ALL2: i32 = 0b11;
-    const ALL4: i32 = 0b1111;
-
-    // ---- swing_step -----------------------------------------------------
-
-    #[inline(always)]
-    pub(super) unsafe fn swing_step_sse2(
-        origin: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-        l: &mut [f64; LANES],
-        u: &mut [f64; LANES],
-    ) -> bool {
-        unsafe {
-            let dtv = _mm_set1_pd(dt);
-            let (o0, o1) = (lo(origin), hi(origin));
-            let (e0, e1) = (lo(eps), hi(eps));
-            let (x0, x1) = (lo(x), hi(x));
-            let (l0, l1) = (lo(l), hi(l));
-            let (u0, u1) = (lo(u), hi(u));
-            let lv0 = _mm_add_pd(o0, _mm_mul_pd(l0, dtv));
-            let lv1 = _mm_add_pd(o1, _mm_mul_pd(l1, dtv));
-            let hv0 = _mm_add_pd(o0, _mm_mul_pd(u0, dtv));
-            let hv1 = _mm_add_pd(o1, _mm_mul_pd(u1, dtv));
-            let ok0 = _mm_and_pd(
-                _mm_cmpge_pd(x0, _mm_sub_pd(lv0, e0)),
-                _mm_cmple_pd(x0, _mm_add_pd(hv0, e0)),
-            );
-            let ok1 = _mm_and_pd(
-                _mm_cmpge_pd(x1, _mm_sub_pd(lv1, e1)),
-                _mm_cmple_pd(x1, _mm_add_pd(hv1, e1)),
-            );
-            if _mm_movemask_pd(_mm_and_pd(ok0, ok1)) != ALL2 {
-                return false;
-            }
-            let vme0 = _mm_sub_pd(x0, e0);
-            let vme1 = _mm_sub_pd(x1, e1);
-            let vpe0 = _mm_add_pd(x0, e0);
-            let vpe1 = _mm_add_pd(x1, e1);
-            let nl0 = sel(_mm_cmpgt_pd(vme0, lv0), _mm_div_pd(_mm_sub_pd(vme0, o0), dtv), l0);
-            let nl1 = sel(_mm_cmpgt_pd(vme1, lv1), _mm_div_pd(_mm_sub_pd(vme1, o1), dtv), l1);
-            let nu0 = sel(_mm_cmplt_pd(vpe0, hv0), _mm_div_pd(_mm_sub_pd(vpe0, o0), dtv), u0);
-            let nu1 = sel(_mm_cmplt_pd(vpe1, hv1), _mm_div_pd(_mm_sub_pd(vpe1, o1), dtv), u1);
-            store(l, nl0, nl1);
-            store(u, nu0, nu1);
-            true
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn swing_step_avx2(
-        origin: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-        l: &mut [f64; LANES],
-        u: &mut [f64; LANES],
-    ) -> bool {
-        unsafe {
-            let dtv = _mm256_set1_pd(dt);
-            let o = load4(origin);
-            let e = load4(eps);
-            let xv = load4(x);
-            let lv = load4(l);
-            let uv = load4(u);
-            let lo_val = _mm256_add_pd(o, _mm256_mul_pd(lv, dtv));
-            let hi_val = _mm256_add_pd(o, _mm256_mul_pd(uv, dtv));
-            let ok = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_GE_OQ>(xv, _mm256_sub_pd(lo_val, e)),
-                _mm256_cmp_pd::<_CMP_LE_OQ>(xv, _mm256_add_pd(hi_val, e)),
-            );
-            if _mm256_movemask_pd(ok) != ALL4 {
-                return false;
-            }
-            let vme = _mm256_sub_pd(xv, e);
-            let vpe = _mm256_add_pd(xv, e);
-            let nl = _mm256_blendv_pd(
-                lv,
-                _mm256_div_pd(_mm256_sub_pd(vme, o), dtv),
-                _mm256_cmp_pd::<_CMP_GT_OQ>(vme, lo_val),
-            );
-            let nu = _mm256_blendv_pd(
-                uv,
-                _mm256_div_pd(_mm256_sub_pd(vpe, o), dtv),
-                _mm256_cmp_pd::<_CMP_LT_OQ>(vpe, hi_val),
-            );
-            _mm256_storeu_pd(l.as_mut_ptr(), nl);
-            _mm256_storeu_pd(u.as_mut_ptr(), nu);
-            true
-        }
-    }
-
-    // ---- fits_affine ----------------------------------------------------
-
-    #[inline(always)]
-    pub(super) unsafe fn fits_affine_sse2(
-        anchor: &[f64; LANES],
-        slope: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-    ) -> bool {
-        unsafe {
-            let dtv = _mm_set1_pd(dt);
-            let sign = _mm_set1_pd(-0.0);
-            let r0 = _mm_sub_pd(lo(x), _mm_add_pd(lo(anchor), _mm_mul_pd(lo(slope), dtv)));
-            let r1 = _mm_sub_pd(hi(x), _mm_add_pd(hi(anchor), _mm_mul_pd(hi(slope), dtv)));
-            let ok0 = _mm_cmple_pd(_mm_andnot_pd(sign, r0), lo(eps));
-            let ok1 = _mm_cmple_pd(_mm_andnot_pd(sign, r1), hi(eps));
-            _mm_movemask_pd(_mm_and_pd(ok0, ok1)) == ALL2
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fits_affine_avx2(
-        anchor: &[f64; LANES],
-        slope: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-    ) -> bool {
-        unsafe {
-            let dtv = _mm256_set1_pd(dt);
-            let r = _mm256_sub_pd(
-                load4(x),
-                _mm256_add_pd(load4(anchor), _mm256_mul_pd(load4(slope), dtv)),
-            );
-            let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), r);
-            _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(abs, load4(eps))) == ALL4
-        }
-    }
-
-    // ---- fits_const -----------------------------------------------------
-
-    #[inline(always)]
-    pub(super) unsafe fn fits_const_sse2(
-        center: &[f64; LANES],
-        eps: &[f64; LANES],
-        x: &[f64; LANES],
-    ) -> bool {
-        unsafe {
-            let sign = _mm_set1_pd(-0.0);
-            let r0 = _mm_sub_pd(lo(x), lo(center));
-            let r1 = _mm_sub_pd(hi(x), hi(center));
-            let ok0 = _mm_cmple_pd(_mm_andnot_pd(sign, r0), lo(eps));
-            let ok1 = _mm_cmple_pd(_mm_andnot_pd(sign, r1), hi(eps));
-            _mm_movemask_pd(_mm_and_pd(ok0, ok1)) == ALL2
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn fits_const_avx2(
-        center: &[f64; LANES],
-        eps: &[f64; LANES],
-        x: &[f64; LANES],
-    ) -> bool {
-        unsafe {
-            let r = _mm256_sub_pd(load4(x), load4(center));
-            let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), r);
-            _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(abs, load4(eps))) == ALL4
-        }
-    }
-
-    // ---- slide_step -----------------------------------------------------
-
-    #[inline(always)]
-    pub(super) unsafe fn slide_step_sse2(
-        u: &EnvView<'_>,
-        l: &EnvView<'_>,
-        eps: &[f64; LANES],
-        t: f64,
-        x: &[f64; LANES],
-    ) -> SlideStep {
-        unsafe {
-            let tv = _mm_set1_pd(t);
-            let (e0, e1) = (lo(eps), hi(eps));
-            let (x0, x1) = (lo(x), hi(x));
-            let ue0 = _mm_add_pd(lo(u.x0), _mm_mul_pd(lo(u.slope), _mm_sub_pd(tv, lo(u.t0))));
-            let ue1 = _mm_add_pd(hi(u.x0), _mm_mul_pd(hi(u.slope), _mm_sub_pd(tv, hi(u.t0))));
-            let le0 = _mm_add_pd(lo(l.x0), _mm_mul_pd(lo(l.slope), _mm_sub_pd(tv, lo(l.t0))));
-            let le1 = _mm_add_pd(hi(l.x0), _mm_mul_pd(hi(l.slope), _mm_sub_pd(tv, hi(l.t0))));
-            let ok0 = _mm_and_pd(
-                _mm_cmple_pd(x0, _mm_add_pd(ue0, e0)),
-                _mm_cmpge_pd(x0, _mm_sub_pd(le0, e0)),
-            );
-            let ok1 = _mm_and_pd(
-                _mm_cmple_pd(x1, _mm_add_pd(ue1, e1)),
-                _mm_cmpge_pd(x1, _mm_sub_pd(le1, e1)),
-            );
-            if _mm_movemask_pd(_mm_and_pd(ok0, ok1)) != ALL2 {
-                return SlideStep { fits: false, needs_l: 0, needs_u: 0 };
-            }
-            let nl0 = _mm_movemask_pd(_mm_cmpgt_pd(x0, _mm_add_pd(le0, e0))) as u32;
-            let nl1 = _mm_movemask_pd(_mm_cmpgt_pd(x1, _mm_add_pd(le1, e1))) as u32;
-            let nu0 = _mm_movemask_pd(_mm_cmplt_pd(x0, _mm_sub_pd(ue0, e0))) as u32;
-            let nu1 = _mm_movemask_pd(_mm_cmplt_pd(x1, _mm_sub_pd(ue1, e1))) as u32;
-            SlideStep { fits: true, needs_l: nl0 | (nl1 << 2), needs_u: nu0 | (nu1 << 2) }
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn slide_step_avx2(
-        u: &EnvView<'_>,
-        l: &EnvView<'_>,
-        eps: &[f64; LANES],
-        t: f64,
-        x: &[f64; LANES],
-    ) -> SlideStep {
-        unsafe {
-            let tv = _mm256_set1_pd(t);
-            let e = load4(eps);
-            let xv = load4(x);
-            let ue = _mm256_add_pd(
-                load4(u.x0),
-                _mm256_mul_pd(load4(u.slope), _mm256_sub_pd(tv, load4(u.t0))),
-            );
-            let le = _mm256_add_pd(
-                load4(l.x0),
-                _mm256_mul_pd(load4(l.slope), _mm256_sub_pd(tv, load4(l.t0))),
-            );
-            let ok = _mm256_and_pd(
-                _mm256_cmp_pd::<_CMP_LE_OQ>(xv, _mm256_add_pd(ue, e)),
-                _mm256_cmp_pd::<_CMP_GE_OQ>(xv, _mm256_sub_pd(le, e)),
-            );
-            if _mm256_movemask_pd(ok) != ALL4 {
-                return SlideStep { fits: false, needs_l: 0, needs_u: 0 };
-            }
-            let needs_l =
-                _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(xv, _mm256_add_pd(le, e))) as u32;
-            let needs_u =
-                _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LT_OQ>(xv, _mm256_sub_pd(ue, e))) as u32;
-            SlideStep { fits: true, needs_l, needs_u }
-        }
-    }
-
-    // ---- range_step / minmax_sum ----------------------------------------
-
-    #[inline(always)]
-    pub(super) unsafe fn range_step_sse2(
-        min: &mut [f64; LANES],
-        max: &mut [f64; LANES],
-        sum: &mut [f64; LANES],
-        eps: &[f64; LANES],
-        x: &[f64; LANES],
-    ) -> bool {
-        unsafe {
-            let two = _mm_set1_pd(2.0);
-            let (x0, x1) = (lo(x), hi(x));
-            let lo0 = _mm_min_pd(lo(min), x0);
-            let lo1 = _mm_min_pd(hi(min), x1);
-            let hi0 = _mm_max_pd(lo(max), x0);
-            let hi1 = _mm_max_pd(hi(max), x1);
-            let ok0 = _mm_cmple_pd(_mm_sub_pd(hi0, lo0), _mm_mul_pd(two, lo(eps)));
-            let ok1 = _mm_cmple_pd(_mm_sub_pd(hi1, lo1), _mm_mul_pd(two, hi(eps)));
-            if _mm_movemask_pd(_mm_and_pd(ok0, ok1)) != ALL2 {
-                return false;
-            }
-            store(min, lo0, lo1);
-            store(max, hi0, hi1);
-            store(sum, _mm_add_pd(lo(sum), x0), _mm_add_pd(hi(sum), x1));
-            true
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn range_step_avx2(
-        min: &mut [f64; LANES],
-        max: &mut [f64; LANES],
-        sum: &mut [f64; LANES],
-        eps: &[f64; LANES],
-        x: &[f64; LANES],
-    ) -> bool {
-        unsafe {
-            let xv = load4(x);
-            let lo_v = _mm256_min_pd(load4(min), xv);
-            let hi_v = _mm256_max_pd(load4(max), xv);
-            let ok = _mm256_cmp_pd::<_CMP_LE_OQ>(
-                _mm256_sub_pd(hi_v, lo_v),
-                _mm256_mul_pd(_mm256_set1_pd(2.0), load4(eps)),
-            );
-            if _mm256_movemask_pd(ok) != ALL4 {
-                return false;
-            }
-            _mm256_storeu_pd(min.as_mut_ptr(), lo_v);
-            _mm256_storeu_pd(max.as_mut_ptr(), hi_v);
-            _mm256_storeu_pd(sum.as_mut_ptr(), _mm256_add_pd(load4(sum), xv));
-            true
-        }
-    }
-
-    #[inline(always)]
-    pub(super) unsafe fn minmax_sum_sse2(
-        min: &mut [f64; LANES],
-        max: &mut [f64; LANES],
-        sum: &mut [f64; LANES],
-        x: &[f64; LANES],
-    ) {
-        unsafe {
-            let (x0, x1) = (lo(x), hi(x));
-            store(min, _mm_min_pd(lo(min), x0), _mm_min_pd(hi(min), x1));
-            store(max, _mm_max_pd(lo(max), x0), _mm_max_pd(hi(max), x1));
-            store(sum, _mm_add_pd(lo(sum), x0), _mm_add_pd(hi(sum), x1));
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn minmax_sum_avx2(
-        min: &mut [f64; LANES],
-        max: &mut [f64; LANES],
-        sum: &mut [f64; LANES],
-        x: &[f64; LANES],
-    ) {
-        unsafe {
-            let xv = load4(x);
-            _mm256_storeu_pd(min.as_mut_ptr(), _mm256_min_pd(load4(min), xv));
-            _mm256_storeu_pd(max.as_mut_ptr(), _mm256_max_pd(load4(max), xv));
-            _mm256_storeu_pd(sum.as_mut_ptr(), _mm256_add_pd(load4(sum), xv));
-        }
-    }
-
-    // ---- sums_push ------------------------------------------------------
-
-    #[inline(always)]
-    pub(super) unsafe fn sums_push_sse2(
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        u: f64,
-        x: &[f64; LANES],
-    ) {
-        unsafe {
-            let uv = _mm_set1_pd(u);
-            let v0 = _mm_sub_pd(lo(x), lo(x_ref));
-            let v1 = _mm_sub_pd(hi(x), hi(x_ref));
-            store(sv, _mm_add_pd(lo(sv), v0), _mm_add_pd(hi(sv), v1));
-            store(
-                suv,
-                _mm_add_pd(lo(suv), _mm_mul_pd(uv, v0)),
-                _mm_add_pd(hi(suv), _mm_mul_pd(uv, v1)),
-            );
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sums_push_avx2(
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        u: f64,
-        x: &[f64; LANES],
-    ) {
-        unsafe {
-            let v = _mm256_sub_pd(load4(x), load4(x_ref));
-            _mm256_storeu_pd(sv.as_mut_ptr(), _mm256_add_pd(load4(sv), v));
-            _mm256_storeu_pd(
-                suv.as_mut_ptr(),
-                _mm256_add_pd(load4(suv), _mm256_mul_pd(_mm256_set1_pd(u), v)),
-            );
-        }
-    }
-
-    // ---- fused step + sums ----------------------------------------------
-    //
-    // SSE2 is part of the x86_64 baseline, so its backends carry no
-    // `#[target_feature]` gate and inline all the way into the filter
-    // hot loops. The AVX2 backends do need the gate (an inlining
-    // barrier from feature-less callers), so fusing step + sums halves
-    // their per-push call count; within one `#[target_feature]` context
-    // the component functions still inline into each other.
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn swing_step_mse_sse2(
-        origin: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-        l: &mut [f64; LANES],
-        u: &mut [f64; LANES],
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        ut: f64,
-    ) -> bool {
-        unsafe {
-            if !swing_step_sse2(origin, eps, dt, x, l, u) {
-                return false;
-            }
-            sums_push_sse2(x_ref, sv, suv, ut, x);
-            true
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn swing_step_mse_avx2(
-        origin: &[f64; LANES],
-        eps: &[f64; LANES],
-        dt: f64,
-        x: &[f64; LANES],
-        l: &mut [f64; LANES],
-        u: &mut [f64; LANES],
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        ut: f64,
-    ) -> bool {
-        unsafe {
-            if !swing_step_avx2(origin, eps, dt, x, l, u) {
-                return false;
-            }
-            sums_push_avx2(x_ref, sv, suv, ut, x);
-            true
-        }
-    }
-
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn slide_step_mse_sse2(
-        u: &EnvView<'_>,
-        l: &EnvView<'_>,
-        eps: &[f64; LANES],
-        t: f64,
-        x: &[f64; LANES],
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        ut: f64,
-    ) -> SlideStep {
-        unsafe {
-            let s = slide_step_sse2(u, l, eps, t, x);
-            if s.fits {
-                sums_push_sse2(x_ref, sv, suv, ut, x);
-            }
-            s
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn slide_step_mse_avx2(
-        u: &EnvView<'_>,
-        l: &EnvView<'_>,
-        eps: &[f64; LANES],
-        t: f64,
-        x: &[f64; LANES],
-        x_ref: &[f64; LANES],
-        sv: &mut [f64; LANES],
-        suv: &mut [f64; LANES],
-        ut: f64,
-    ) -> SlideStep {
-        unsafe {
-            let s = slide_step_avx2(u, l, eps, t, x);
-            if s.fits {
-                sums_push_avx2(x_ref, sv, suv, ut, x);
-            }
-            s
-        }
+    let x = &pad4(x);
+    for d in 0..LANES {
+        let v = x[d] - x_ref[d];
+        sv[d] += v;
+        suv[d] += u * v;
     }
 }
 
@@ -1161,190 +315,50 @@ mod x86 {
 mod tests {
     use super::*;
 
-    /// Deterministic pseudo-random f64 in roughly [-100, 100].
-    struct Lcg(u64);
-    impl Lcg {
-        fn next_f64(&mut self) -> f64 {
-            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((self.0 >> 11) as f64 / (1u64 << 53) as f64) * 200.0 - 100.0
-        }
-        fn lanes(&mut self) -> [f64; LANES] {
-            std::array::from_fn(|_| self.next_f64())
-        }
-        fn pos_lanes(&mut self) -> [f64; LANES] {
-            std::array::from_fn(|_| self.next_f64().abs() * 0.1 + 1e-3)
-        }
-    }
-
-    fn backends() -> Vec<Kernel> {
-        let mut v = vec![Kernel::Scalar];
-        #[cfg(target_arch = "x86_64")]
-        {
-            v.push(Kernel::Sse2);
-            if is_x86_feature_detected!("avx2") {
-                v.push(Kernel::Avx2);
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn detect_returns_a_valid_backend() {
-        let k = Kernel::detect();
-        assert!(backends().contains(&k) || k == Kernel::Scalar);
-    }
-
     #[test]
     fn dispatch_auto_and_sanitize() {
         assert_eq!(Dispatch::auto(1, true), Dispatch::Scalar1);
-        assert!(matches!(Dispatch::auto(1, false), Dispatch::Generic));
-        assert!(matches!(Dispatch::auto(3, true), Dispatch::Lanes(_)));
+        assert_eq!(Dispatch::auto(1, false), Dispatch::Generic);
+        assert_eq!(Dispatch::auto(3, true), Dispatch::Lanes);
         assert_eq!(Dispatch::auto(8, true), Dispatch::Generic);
         // Invalid overrides snap back to auto.
         assert_eq!(Dispatch::Scalar1.sanitized(4, true), Dispatch::auto(4, true));
-        assert_eq!(Dispatch::Lanes(Kernel::Scalar).sanitized(8, true), Dispatch::Generic);
-        assert_eq!(
-            Dispatch::Lanes(Kernel::Scalar).sanitized(2, false),
-            Dispatch::Lanes(Kernel::Scalar)
-        );
-    }
-
-    /// Every SIMD backend must be bit-identical to the scalar backend on
-    /// the same inputs — including mutated state — across many random
-    /// rounds and every active dimension count (via zero padding).
-    #[test]
-    fn backends_are_bit_identical() {
-        let ks = backends();
-        let mut rng = Lcg(0xC0FFEE);
-        for round in 0..500 {
-            let d = 2 + round % 3; // 2..=4 active dims
-            let origin = rng.lanes();
-            let eps = rng.pos_lanes();
-            let dt = rng.next_f64().abs() + 0.01;
-            let mut x = rng.lanes();
-            x[d..].iter_mut().for_each(|v| *v = 0.0);
-            let mut base_env = (rng.lanes(), rng.lanes());
-            base_env.0[d..].iter_mut().for_each(|v| *v = 0.0);
-            base_env.1[d..].iter_mut().for_each(|v| *v = 0.0);
-
-            // swing_step: compare result and mutated slopes.
-            let mut want: Option<(bool, [f64; LANES], [f64; LANES])> = None;
-            for &k in &ks {
-                let (mut l, mut u) = base_env;
-                let fit = swing_step(k, &origin, &eps, dt, &x[..d], &mut l, &mut u);
-                let got = (fit, l, u);
-                match &want {
-                    None => want = Some(got),
-                    Some(w) => {
-                        assert_eq!(w.0, got.0, "{k:?} swing fits diverged");
-                        assert_eq!(
-                            w.1.map(f64::to_bits),
-                            got.1.map(f64::to_bits),
-                            "{k:?} swing l diverged"
-                        );
-                        assert_eq!(
-                            w.2.map(f64::to_bits),
-                            got.2.map(f64::to_bits),
-                            "{k:?} swing u diverged"
-                        );
-                    }
-                }
-            }
-
-            // fits_affine / fits_const.
-            let slope = rng.lanes();
-            let affine: Vec<bool> =
-                ks.iter().map(|&k| fits_affine(k, &origin, &slope, &eps, dt, &x[..d])).collect();
-            assert!(affine.windows(2).all(|w| w[0] == w[1]), "fits_affine diverged");
-            let cst: Vec<bool> =
-                ks.iter().map(|&k| fits_const(k, &origin, &eps, &x[..d])).collect();
-            assert!(cst.windows(2).all(|w| w[0] == w[1]), "fits_const diverged");
-
-            // slide_step.
-            let (ut0, ux0, us) = (rng.lanes(), rng.lanes(), rng.lanes());
-            let (lt0, lx0, ls) = (rng.lanes(), rng.lanes(), rng.lanes());
-            let t = rng.next_f64();
-            let steps: Vec<(bool, u32, u32)> = ks
-                .iter()
-                .map(|&k| {
-                    let s = slide_step(
-                        k,
-                        EnvView { t0: &ut0, x0: &ux0, slope: &us },
-                        EnvView { t0: &lt0, x0: &lx0, slope: &ls },
-                        &eps,
-                        t,
-                        &x[..d],
-                    );
-                    (s.fits, s.needs_l, s.needs_u)
-                })
-                .collect();
-            assert!(steps.windows(2).all(|w| w[0] == w[1]), "slide_step diverged: {steps:?}");
-
-            // range_step + minmax_sum: compare mutated state.
-            let base = (rng.lanes(), rng.lanes(), rng.lanes());
-            type RangeBits = (bool, [u64; LANES], [u64; LANES], [u64; LANES]);
-            let mut want_rs: Option<RangeBits> = None;
-            for &k in &ks {
-                let (mut mn, mut mx, mut sm) = base;
-                let acc = range_step(k, &mut mn, &mut mx, &mut sm, &eps, &x[..d]);
-                minmax_sum(k, &mut mn, &mut mx, &mut sm, &x[..d]);
-                let got = (acc, mn.map(f64::to_bits), mx.map(f64::to_bits), sm.map(f64::to_bits));
-                match &want_rs {
-                    None => want_rs = Some(got),
-                    Some(w) => assert_eq!(*w, got, "{k:?} range/minmax diverged"),
-                }
-            }
-
-            // sums_push.
-            let xr = rng.lanes();
-            let u_t = rng.next_f64();
-            let base = (rng.lanes(), rng.lanes());
-            let mut want_sp: Option<([u64; LANES], [u64; LANES])> = None;
-            for &k in &ks {
-                let (mut sv, mut suv) = base;
-                sums_push(k, &xr, &mut sv, &mut suv, u_t, &x[..d]);
-                let got = (sv.map(f64::to_bits), suv.map(f64::to_bits));
-                match &want_sp {
-                    None => want_sp = Some(got),
-                    Some(w) => assert_eq!(*w, got, "{k:?} sums_push diverged"),
-                }
-            }
-        }
+        assert_eq!(Dispatch::Lanes.sanitized(8, true), Dispatch::Generic);
+        assert_eq!(Dispatch::Lanes.sanitized(2, false), Dispatch::Lanes);
     }
 
     /// Zero padding lanes pass every fits test, absorb every update as a
     /// no-op, and stay exactly 0.0 through mutating kernels.
     #[test]
     fn padding_lanes_are_neutral() {
-        for &k in &backends() {
-            let origin = [1.0, -2.0, 0.0, 0.0];
-            let eps = [0.5, 0.5, 0.0, 0.0];
-            let mut l = [-1.0, -1.0, 0.0, 0.0];
-            let mut u = [1.0, 1.0, 0.0, 0.0];
-            let fit = swing_step(k, &origin, &eps, 2.0, &[1.4, -1.7], &mut l, &mut u);
-            assert!(fit, "{k:?}: active lanes fit");
-            assert_eq!(&l[2..], &[0.0, 0.0], "{k:?}: l padding disturbed");
-            assert_eq!(&u[2..], &[0.0, 0.0], "{k:?}: u padding disturbed");
+        let origin = [1.0, -2.0, 0.0, 0.0];
+        let eps = [0.5, 0.5, 0.0, 0.0];
+        let mut l = [-1.0, -1.0, 0.0, 0.0];
+        let mut u = [1.0, 1.0, 0.0, 0.0];
+        let fit = swing_step(&origin, &eps, 2.0, &[1.4, -1.7], &mut l, &mut u);
+        assert!(fit, "active lanes fit");
+        assert_eq!(&l[2..], &[0.0, 0.0], "l padding disturbed");
+        assert_eq!(&u[2..], &[0.0, 0.0], "u padding disturbed");
 
-            let zeros = [0.0; LANES];
-            assert!(fits_affine(k, &zeros, &zeros, &zeros, 123.0, &[]));
-            assert!(fits_const(k, &zeros, &zeros, &[]));
-            let s = slide_step(
-                k,
-                EnvView { t0: &zeros, x0: &zeros, slope: &zeros },
-                EnvView { t0: &zeros, x0: &zeros, slope: &zeros },
-                &zeros,
-                7.5,
-                &[],
-            );
-            assert!(s.fits && s.needs_l == 0 && s.needs_u == 0, "{k:?}: padding not neutral");
+        let zeros = [0.0; LANES];
+        assert!(fits_affine(&zeros, &zeros, &zeros, 123.0, &[]));
+        assert!(fits_const(&zeros, &zeros, &[]));
+        let s = slide_step(
+            EnvView { t0: &zeros, x0: &zeros, slope: &zeros },
+            EnvView { t0: &zeros, x0: &zeros, slope: &zeros },
+            &zeros,
+            7.5,
+            &[],
+        );
+        assert!(s.fits && s.needs_l == 0 && s.needs_u == 0, "padding not neutral");
 
-            let (mut mn, mut mx, mut sm) = (zeros, zeros, zeros);
-            assert!(range_step(k, &mut mn, &mut mx, &mut sm, &zeros, &[]));
-            assert_eq!([mn, mx, sm], [zeros; 3], "{k:?}: range padding disturbed");
-            let (mut sv, mut suv) = (zeros, zeros);
-            sums_push(k, &zeros, &mut sv, &mut suv, 3.0, &[]);
-            assert_eq!([sv, suv], [zeros; 2], "{k:?}: sums padding disturbed");
-        }
+        let (mut mn, mut mx, mut sm) = (zeros, zeros, zeros);
+        assert!(range_step(&mut mn, &mut mx, &mut sm, &zeros, &[]));
+        assert_eq!([mn, mx, sm], [zeros; 3], "range padding disturbed");
+        minmax_sum(&mut mn, &mut mx, &mut sm, &[]);
+        assert_eq!([mn, mx, sm], [zeros; 3], "minmax padding disturbed");
+        let (mut sv, mut suv) = (zeros, zeros);
+        sums_push(&zeros, &mut sv, &mut suv, 3.0, &[]);
+        assert_eq!([sv, suv], [zeros; 2], "sums padding disturbed");
     }
 }

@@ -12,7 +12,7 @@
 //! time-series compression: the error is guaranteed, the compression ratio
 //! is maximized best-effort.
 //!
-//! Four filters are provided (see [`filters`]):
+//! Five filters are provided (see [`filters`]):
 //!
 //! * [`filters::CacheFilter`] — piece-wise constant baseline (§2.2);
 //! * [`filters::LinearFilter`] — fixed-slope linear baseline (§2.2);
@@ -20,7 +20,9 @@
 //!   segments, O(d) per point;
 //! * [`filters::SlideFilter`] — the paper's slide filter (§4): mostly
 //!   disconnected segments chosen from sliding envelopes, convex-hull
-//!   optimized, the best compressor of the four.
+//!   optimized, the best compressor of the four the paper evaluates;
+//! * [`filters::KalmanFilter`] — extension: Kalman-predictive filter
+//!   for the overhead comparison.
 //!
 //! Supporting types: [`Signal`] (columnar sample storage), [`Segment`] /
 //! [`SegmentSink`] (output model with the paper's recording accounting),
@@ -50,6 +52,7 @@
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
+#![forbid(unsafe_code)]
 
 mod dimvec;
 mod error;

@@ -89,98 +89,19 @@ impl RegressionSums {
         }
     }
 
-    /// Accumulates one sample through the fixed-width lane kernel
-    /// backend `k` — byte-identical to [`push`](Self::push) (the kernel
-    /// replicates the loop's expression tree; see [`crate::kern`]).
-    /// Callers guarantee `d ≤ INLINE_DIMS` (the sums are inline).
+    /// Accumulates one sample through the fixed-width lane kernel —
+    /// byte-identical to [`push`](Self::push) (the kernel replicates the
+    /// loop's expression tree; see [`crate::kern`]). Callers guarantee
+    /// `d ≤ INLINE_DIMS` (the sums are inline).
     #[inline]
-    pub(crate) fn push_lanes(&mut self, k: crate::kern::Kernel, t: f64, x: &[f64]) {
+    pub(crate) fn push_lanes(&mut self, t: f64, x: &[f64]) {
         debug_assert_eq!(x.len(), self.x_ref.len());
         let u = t - self.t_ref;
         self.n += 1;
         self.su += u;
         self.suu += u * u;
         let Self { x_ref, sv, suv, .. } = self;
-        crate::kern::sums_push(k, x_ref.lanes(), sv.lanes_mut(), suv.lanes_mut(), u, x);
-    }
-
-    /// Fused swing step + accumulate through one kernel call: runs
-    /// [`crate::kern::swing_step`] and, iff the point fits, accumulates
-    /// it — byte-identical to `swing_step` followed by
-    /// [`push`](Self::push), at half the kernel-call overhead. Callers
-    /// guarantee `d ≤ INLINE_DIMS`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn swing_step_lanes(
-        &mut self,
-        k: crate::kern::Kernel,
-        origin: &crate::DimVec<f64>,
-        eps: &crate::DimVec<f64>,
-        dt: f64,
-        t: f64,
-        x: &[f64],
-        l: &mut crate::DimVec<f64>,
-        u: &mut crate::DimVec<f64>,
-    ) -> bool {
-        debug_assert_eq!(x.len(), self.x_ref.len());
-        let ut = t - self.t_ref;
-        let Self { x_ref, sv, suv, .. } = self;
-        let fit = crate::kern::swing_step_mse(
-            k,
-            origin.lanes(),
-            eps.lanes(),
-            dt,
-            x,
-            l.lanes_mut(),
-            u.lanes_mut(),
-            x_ref.lanes(),
-            sv.lanes_mut(),
-            suv.lanes_mut(),
-            ut,
-        );
-        if fit {
-            self.n += 1;
-            self.su += ut;
-            self.suu += ut * ut;
-        }
-        fit
-    }
-
-    /// Fused slide step + accumulate: runs [`crate::kern::slide_step`]
-    /// and, iff the point fits, accumulates it — byte-identical to
-    /// `slide_step` followed by [`push`](Self::push). Callers guarantee
-    /// `d ≤ INLINE_DIMS`.
-    #[inline]
-    pub(crate) fn slide_step_lanes(
-        &mut self,
-        k: crate::kern::Kernel,
-        u_env: crate::kern::EnvView<'_>,
-        l_env: crate::kern::EnvView<'_>,
-        eps: &crate::DimVec<f64>,
-        t: f64,
-        x: &[f64],
-    ) -> crate::kern::SlideStep {
-        debug_assert_eq!(x.len(), self.x_ref.len());
-        let ut = t - self.t_ref;
-        let Self { x_ref, sv, suv, .. } = self;
-        let s = crate::kern::slide_step_mse(
-            k,
-            u_env,
-            l_env,
-            eps.lanes(),
-            t,
-            x,
-            x_ref.lanes(),
-            sv.lanes_mut(),
-            suv.lanes_mut(),
-            ut,
-        );
-        if s.fits {
-            self.n += 1;
-            self.su += ut;
-            self.suu += ut * ut;
-        }
-        s
+        crate::kern::sums_push(x_ref.lanes(), sv.lanes_mut(), suv.lanes_mut(), u, x);
     }
 
     /// Number of accumulated samples.

@@ -23,8 +23,8 @@ Usage:
         the whole suite on a possibly different machine.
 
 Besides the numbers, the file records capture metadata: cpu count,
-platform, rustc, the CPU's SIMD feature set (what `Kernel::detect`
-sees), and whether quick mode was used. bench_compare.py refuses to
+platform, rustc, the CPU's SIMD feature set (a fingerprint of the CPU
+class), and whether quick mode was used. bench_compare.py refuses to
 gate against a baseline whose machine metadata does not match the
 current host.
 """
@@ -39,9 +39,8 @@ LINE = re.compile(
     r"^(?P<name>\S.*?)\s+(?P<ns>[\d.]+) ns/iter(?:\s+(?P<rate>[\d.]+) (?P<unit>elem/s|B/s))?\s*$"
 )
 
-# The feature flags that change which kernel backend pla-core's
-# `Kernel::detect` picks (plus fma/avx512f, which would matter to future
-# backends). Anything else in /proc/cpuinfo is noise for our purposes.
+# The feature flags that fingerprint the CPU class a baseline was
+# captured on. Anything else in /proc/cpuinfo is noise for our purposes.
 SIMD_FEATURES = ("sse2", "avx", "avx2", "avx512f", "fma")
 
 
