@@ -6,7 +6,9 @@
 //! must perform **zero** heap allocations. This is the PR-3 acceptance
 //! criterion for the swing and slide filters; the other families are
 //! held to the same bar because their state migrated to the same
-//! inline-dimension storage.
+//! inline-dimension storage. The query tier's in-place engine refresh
+//! is pinned the same way: free on a quiet store, and costing the same
+//! whatever the number of streams that did not grow.
 //!
 //! Requires the counting global allocator:
 //!
@@ -20,7 +22,9 @@ use std::sync::Mutex;
 use pla_bench::{alloc_counter, multi_walk, walk_signal, FilterKind, WalkParams};
 use pla_core::filters::StreamFilter;
 use pla_core::metrics::CountingSink;
-use pla_core::INLINE_DIMS;
+use pla_core::{Segment, INLINE_DIMS};
+use pla_ingest::{SegmentStore, StoreSnapshot, StreamId};
+use pla_query::StoreQueryEngine;
 
 /// The allocation counter is process-wide, but libtest runs `#[test]`s on
 /// parallel threads — another test's setup allocations would land inside
@@ -186,4 +190,58 @@ fn inline_dims_stream_is_allocation_free() {
             kind.label()
         );
     }
+}
+
+fn ramp_segment(k: usize) -> Segment {
+    let t = k as f64;
+    Segment {
+        t_start: t,
+        x_start: [t].into(),
+        t_end: t + 1.0,
+        x_end: [t + 1.0].into(),
+        connected: k > 0,
+        n_points: 2,
+        new_recordings: 1,
+    }
+}
+
+/// A default-configured store of `streams` streams (one source each),
+/// every stream past a seal, and an engine refreshed up to it.
+fn served_store(streams: u64) -> (SegmentStore, StoreQueryEngine) {
+    let store = SegmentStore::new();
+    for id in 0..streams {
+        let log: Vec<Segment> = (0..100).map(ramp_segment).collect();
+        store.append_batch(id, StreamId(id), &log);
+    }
+    let mut engine = StoreQueryEngine::new(StoreSnapshot::default());
+    assert!(engine.refresh(&store));
+    (store, engine)
+}
+
+#[test]
+fn quiet_engine_refresh_is_allocation_free() {
+    let _guard = serial();
+    let (store, mut engine) = served_store(64);
+    let (changed, allocs) = alloc_counter::count(|| engine.refresh(&store));
+    assert!(!changed, "nothing was appended");
+    assert_eq!(allocs, 0, "{allocs} heap allocations refreshing against a quiet store");
+}
+
+#[test]
+fn engine_refresh_cost_is_independent_of_unchanged_streams() {
+    let _guard = serial();
+    let cost = |streams: u64| {
+        let (store, mut engine) = served_store(streams);
+        store.append(0, StreamId(0), ramp_segment(100));
+        let (changed, allocs) = alloc_counter::count(|| engine.refresh(&store));
+        assert!(changed, "one stream grew");
+        allocs
+    };
+    let (small, large) = (cost(64), cost(512));
+    eprintln!("refresh after one append: {small} allocs at 64 streams, {large} at 512");
+    assert_eq!(
+        small, large,
+        "a refresh after one append must re-view only that stream: \
+         {small} allocations at 64 streams but {large} at 512"
+    );
 }

@@ -12,7 +12,9 @@
 //! ([`with_segment_store`](crate::IngestEngine::with_segment_store));
 //! readers take [`snapshot`](SegmentStore::snapshot)s while appends
 //! continue — and a snapshot costs O(streams) pointer grabs, not a
-//! deep copy of every segment.
+//! deep copy of every segment. A long-lived reader does better still:
+//! it keeps one snapshot and [`refresh`](SegmentStore::refresh)es it in
+//! place, re-viewing only the streams that grew.
 //!
 //! # Layout: shards → streams → runs + tail
 //!
@@ -45,9 +47,21 @@
 //!   O(streams) too.
 //! * **Epochs make change detection O(shards).** Every shard counts the
 //!   segments it has ever admitted in an *epoch* counter; snapshots
-//!   record the per-shard epochs they observed, so a poller can compare
-//!   [`epochs`](SegmentStore::epochs) against its last snapshot and
-//!   skip the sweep when nothing moved.
+//!   record the per-shard epochs they observed.
+//!   [`refresh`](SegmentStore::refresh) compares them under each shard's
+//!   lock and brings a snapshot up to date in place, and
+//!   [`snapshot`](SegmentStore::snapshot) is a refresh of an empty one —
+//!   there is one code path that builds snapshots.
+//!
+//! # Refresh cost model
+//!
+//! * **Quiet store:** O(shards) lock acquisitions and epoch compares, no
+//!   allocation.
+//! * **Moved store:** one length compare per stream on a moved shard,
+//!   one merge per source, and O(changed streams × (runs + seal
+//!   threshold)) copying — each stream that grew gets a whole new view
+//!   (its run `Arc`s plus a copy of its tail); every other view, with its
+//!   runs, is kept as it was.
 //!
 //! # Consistency contract (per shard)
 //!
@@ -82,6 +96,7 @@
 //!   consistent, and the merged value is always ≤ the true total.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use pla_core::Segment;
@@ -194,7 +209,7 @@ impl StreamLog {
     fn view(&self, run_len: usize) -> StreamView {
         StreamView {
             runs: self.runs.clone(),
-            tail: self.tail.clone().into(),
+            tail: Arc::from(&self.tail[..]),
             len: self.len(),
             run_len,
         }
@@ -362,6 +377,10 @@ pub struct StoreSnapshot {
     /// [`SegmentStore::epochs`] to detect whether anything changed
     /// since this snapshot without paying for a new one.
     pub epochs: Box<[u64]>,
+    /// Identity of the store this snapshot was taken from (0: none).
+    /// [`SegmentStore::refresh`] starts over on a snapshot from another
+    /// store, whose epochs say nothing about this one.
+    origin: u64,
 }
 
 impl PartialEq for StoreSnapshot {
@@ -400,7 +419,14 @@ impl PartialEq for StoreSnapshot {
 pub struct SegmentStore {
     shards: Box<[RwLock<ShardInner>]>,
     seal_threshold: usize,
+    /// Process-unique identity, recorded in every snapshot this store
+    /// builds (never 0, the default snapshot's origin).
+    id: u64,
 }
+
+/// Next [`SegmentStore`] identity. `Relaxed`: the counter only has to
+/// hand out distinct values; it publishes no other data.
+static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(1);
 
 impl Default for SegmentStore {
     fn default() -> Self {
@@ -420,6 +446,7 @@ impl SegmentStore {
         Self {
             shards: (0..shards).map(|_| RwLock::new(ShardInner::default())).collect(),
             seal_threshold: config.seal_threshold.max(1),
+            id: NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -460,23 +487,83 @@ impl SegmentStore {
     /// one shard at a time — O(streams) `Arc` clones plus a copy of
     /// each stream's sub-threshold tail, *not* a deep copy of every
     /// segment. See the module docs for the per-shard consistency
-    /// contract.
+    /// contract. This is [`refresh`](Self::refresh) of an empty
+    /// snapshot.
     pub fn snapshot(&self) -> StoreSnapshot {
         let mut snap = StoreSnapshot::default();
-        let mut epochs = Vec::with_capacity(self.shards.len());
-        for shard in self.shards.iter() {
+        self.refresh(&mut snap, |_, _| {});
+        snap
+    }
+
+    /// Brings `snap` up to date in place; returns whether anything
+    /// changed. Afterwards `snap` equals a fresh
+    /// [`snapshot`](Self::snapshot) taken at the same instant, epochs
+    /// included, under the same per-shard consistency contract.
+    ///
+    /// * If no shard's epoch moved since `snap` was taken, this costs
+    ///   one read lock per shard, allocates nothing and returns `false`.
+    /// * Otherwise every shard is swept under its read lock. On a shard
+    ///   whose epoch moved, each stream that is new to `snap` or whose
+    ///   length changed gets a whole new [`StreamView`] and is reported
+    ///   to `on_changed`; the views of all other streams are kept,
+    ///   sharing their runs. Watermarks and totals are recomputed from
+    ///   every shard.
+    /// * A snapshot taken from another store, or whose epochs run ahead
+    ///   of this store's, is cleared and rebuilt from scratch (every
+    ///   stream is then reported).
+    pub fn refresh(
+        &self,
+        snap: &mut StoreSnapshot,
+        mut on_changed: impl FnMut(StreamId, &StreamView),
+    ) -> bool {
+        let mut rebuild = snap.origin != self.id || snap.epochs.len() != self.shards.len();
+        if !rebuild {
+            let mut moved = false;
+            for (shard, &seen) in self.shards.iter().zip(snap.epochs.iter()) {
+                let epoch = shard.read().expect("segment store shard lock").epoch;
+                rebuild |= epoch < seen;
+                moved |= epoch != seen;
+            }
+            if !moved {
+                return false;
+            }
+        }
+        if rebuild {
+            *snap = StoreSnapshot {
+                epochs: vec![0; self.shards.len()].into(),
+                origin: self.id,
+                ..StoreSnapshot::default()
+            };
+        }
+        // Sources never leave a store, so resetting the marks in place
+        // (rather than clearing the map) recomputes them without
+        // reallocating.
+        for mark in snap.sources.values_mut() {
+            *mark = SourceWatermark::default();
+        }
+        snap.total_segments = 0;
+        for (shard, seen) in self.shards.iter().zip(snap.epochs.iter_mut()) {
             let inner = shard.read().expect("segment store shard lock");
-            for (&id, log) in &inner.streams {
-                snap.streams.insert(id, log.view(self.seal_threshold));
+            // Epoch 0 means no appends, hence no streams: a cleared
+            // snapshot's zero epochs skip exactly the empty shards.
+            if inner.epoch != *seen {
+                for (&id, log) in &inner.streams {
+                    // A stored stream holds ≥ 1 segment, so a stream new
+                    // to `snap` (default view, length 0) always differs.
+                    let view = snap.streams.entry(id).or_default();
+                    if view.len() != log.len() {
+                        *view = log.view(self.seal_threshold);
+                        on_changed(id, view);
+                    }
+                }
             }
             for (&source, mark) in &inner.sources {
                 snap.sources.entry(source).or_default().merge(mark);
             }
             snap.total_segments += inner.segments;
-            epochs.push(inner.epoch);
+            *seen = inner.epoch;
         }
-        snap.epochs = epochs.into();
-        snap
+        true
     }
 
     /// The pre-sharding snapshot semantics: every segment deep-copied

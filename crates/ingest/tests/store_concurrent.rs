@@ -3,15 +3,17 @@
 //! Pins the consistency contract documented in `store.rs`: writers
 //! (one owner per stream, as the collector and ingest engine guarantee)
 //! append deterministic sequences while readers snapshot in a tight
-//! loop. Every snapshot a reader takes must be a *prefix* of the final
-//! store — per stream, the view is exactly the first `len` segments of
-//! the sequence the owner wrote — and per-shard epochs must only grow.
+//! loop — some taking fresh snapshots, one refreshing a single snapshot
+//! in place. Every snapshot a reader sees must be a *prefix* of the
+//! final store — per stream, the view is exactly the first `len`
+//! segments of the sequence the owner wrote — and per-shard epochs must
+//! only grow.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pla_core::Segment;
-use pla_ingest::{shard_of, SegmentStore, StoreConfig, StreamId};
+use pla_ingest::{shard_of, SegmentStore, StoreConfig, StoreSnapshot, StreamId};
 
 const WRITERS: usize = 4;
 const STREAMS_PER_WRITER: usize = 8;
@@ -36,6 +38,20 @@ fn expected_segment(s: u64, k: usize) -> Segment {
 
 fn expected_log(s: u64) -> Vec<Segment> {
     (0..SEGMENTS_PER_STREAM).map(|k| expected_segment(s, k)).collect()
+}
+
+/// Every stream view is an exact prefix of what its owner will have
+/// written by the end.
+fn assert_prefixes_of_final_logs(snap: &StoreSnapshot) {
+    for (id, view) in &snap.streams {
+        let want = expected_log(id.0);
+        assert!(view.len() <= want.len(), "stream {} overshot", id.0);
+        assert!(
+            *view == want[..view.len()],
+            "stream {} snapshot is not a prefix of its final log",
+            id.0
+        );
+    }
 }
 
 #[test]
@@ -83,23 +99,41 @@ fn snapshots_under_write_load_are_prefixes_of_the_final_store() {
                         assert!(now >= before, "shard epoch regressed");
                     }
                     last_epochs = epochs;
-                    // Every stream view is an exact prefix of what its
-                    // owner will have written by the end.
-                    for (id, view) in &snap.streams {
-                        let want = expected_log(id.0);
-                        assert!(view.len() <= want.len(), "stream {} overshot", id.0);
-                        assert!(
-                            *view == want[..view.len()],
-                            "stream {} snapshot is not a prefix of its final log",
-                            id.0
-                        );
-                    }
+                    assert_prefixes_of_final_logs(&snap);
                     snapshots += 1;
                 }
                 snapshots
             })
         })
         .collect();
+
+    // The in-place reader: one snapshot, refreshed over and over, held
+    // to the same prefix assertions plus monotone recorded epochs.
+    let refresher = {
+        let store = Arc::clone(&store);
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut snap = StoreSnapshot::default();
+            let mut last_total = 0u64;
+            let mut last_epochs = vec![0; store.shards()];
+            let mut refreshes = 0usize;
+            while !done.load(Ordering::Acquire) {
+                store.refresh(&mut snap, |_, _| {});
+                assert!(snap.total_segments >= last_total, "refreshed total regressed");
+                last_total = snap.total_segments;
+                for (now, before) in snap.epochs.iter().zip(&last_epochs) {
+                    assert!(now >= before, "refreshed shard epoch regressed");
+                }
+                last_epochs.copy_from_slice(&snap.epochs);
+                assert_prefixes_of_final_logs(&snap);
+                refreshes += 1;
+            }
+            // After the writers finish, one more refresh catches up fully.
+            store.refresh(&mut snap, |_, _| {});
+            assert_eq!(snap, store.snapshot(), "a caught-up refresh equals a fresh snapshot");
+            refreshes
+        })
+    };
 
     for w in writers {
         w.join().unwrap();
@@ -110,6 +144,7 @@ fn snapshots_under_write_load_are_prefixes_of_the_final_store() {
         total_snapshots += r.join().unwrap();
     }
     assert!(total_snapshots > 0, "readers never got a snapshot in");
+    assert!(refresher.join().unwrap() > 0, "the refreshing reader never got a refresh in");
 
     // Final state: every stream holds its full log, totals add up, and
     // each writer's watermark covers everything it wrote.
@@ -150,12 +185,21 @@ fn same_shard_streams_never_tear_under_concurrency() {
         })
     };
 
+    // Alternate fresh snapshots with in-place refreshes of one snapshot:
+    // neither may tear.
+    let mut refreshed = StoreSnapshot::default();
     let mut observed = 0;
     while observed < 500 {
-        let snap = store.snapshot();
-        let na = snap.streams.get(&StreamId(a)).map_or(0, |v| v.len());
-        let nb = snap.streams.get(&StreamId(b)).map_or(0, |v| v.len());
-        assert!(na >= nb, "same-shard tear: A has {na} segments but B already has {nb}");
+        let fresh = store.snapshot();
+        store.refresh(&mut refreshed, |_, _| {});
+        for (how, snap) in [("snapshot", &fresh), ("refresh", &refreshed)] {
+            let na = snap.streams.get(&StreamId(a)).map_or(0, |v| v.len());
+            let nb = snap.streams.get(&StreamId(b)).map_or(0, |v| v.len());
+            assert!(
+                na >= nb,
+                "same-shard tear ({how}): A has {na} segments but B already has {nb}"
+            );
+        }
         observed += 1;
     }
     writer.join().unwrap();

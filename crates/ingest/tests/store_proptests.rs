@@ -4,12 +4,14 @@
 //! tail however its seal threshold dictates — but every read path must
 //! present the exact flat append order. These properties drive random
 //! shard counts, seal thresholds, and single/batch append interleavings
-//! against a flat `Vec<Segment>` reference model.
+//! against a flat `Vec<Segment>` reference model, and pin in-place
+//! `refresh` to a fresh `snapshot()`.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use pla_core::Segment;
-use pla_ingest::{SegmentStore, StoreConfig, StreamId};
+use pla_ingest::{SegmentStore, StoreConfig, StoreSnapshot, StreamId};
 use proptest::prelude::*;
 
 fn seg(tag: u64, k: usize) -> Segment {
@@ -55,7 +57,104 @@ fn bits(s: &Segment) -> (u64, Vec<u64>, u64, Vec<u64>, bool, u64, u64) {
     )
 }
 
+/// Applies `op` to `store`, continuing each stream's deterministic
+/// sequence from `lens` (streams first appear whenever an op names them).
+fn apply(store: &SegmentStore, lens: &mut BTreeMap<u64, usize>, op: &Op) {
+    let from = lens.entry(op.stream).or_default();
+    let next: Vec<Segment> = (0..op.count).map(|i| seg(op.stream, *from + i)).collect();
+    *from += op.count;
+    if op.batched {
+        store.append_batch(op.stream, StreamId(op.stream), &next);
+    } else {
+        for s in next {
+            store.append(op.stream, StreamId(op.stream), s);
+        }
+    }
+}
+
+fn build(shards: usize, seal: usize, ops: &[Op]) -> SegmentStore {
+    let store = SegmentStore::with_config(StoreConfig { shards, seal_threshold: seal });
+    let mut lens = BTreeMap::new();
+    for op in ops {
+        apply(&store, &mut lens, op);
+    }
+    store
+}
+
 proptest! {
+    /// One snapshot refreshed between arbitrary append runs always
+    /// equals a fresh `snapshot()`, epochs included; `on_changed` names
+    /// exactly the streams that grew or appeared, and every other view
+    /// keeps its runs and tail by pointer.
+    #[test]
+    fn refreshed_snapshot_equals_a_fresh_one(
+        ops in prop::collection::vec((op_strategy(), any::<bool>()), 1..60),
+        shards in 1..8usize,
+        seal in 1..8usize,
+    ) {
+        let store = SegmentStore::with_config(StoreConfig { shards, seal_threshold: seal });
+        let mut lens = BTreeMap::new();
+        let mut snap = StoreSnapshot::default();
+        store.refresh(&mut snap, |_, _| {});
+        let mut grown = BTreeSet::new();
+        for (op, refresh_after) in &ops {
+            apply(&store, &mut lens, op);
+            grown.insert(StreamId(op.stream));
+            if !refresh_after {
+                continue;
+            }
+            let before = snap.clone();
+            let mut changed = BTreeSet::new();
+            let moved = store.refresh(&mut snap, |id, _| {
+                assert!(changed.insert(id), "stream {id:?} reported twice");
+            });
+            prop_assert!(moved);
+            prop_assert_eq!(&changed, &grown);
+            let fresh = store.snapshot();
+            prop_assert_eq!(&snap, &fresh);
+            prop_assert_eq!(&snap.epochs, &fresh.epochs);
+            for (id, old) in &before.streams {
+                if changed.contains(id) {
+                    continue;
+                }
+                let new = &snap.streams[id];
+                prop_assert_eq!(old.runs().len(), new.runs().len());
+                for (x, y) in old.runs().iter().zip(new.runs()) {
+                    prop_assert!(Arc::ptr_eq(x, y), "unchanged stream {:?} lost its runs", id);
+                }
+                prop_assert!(std::ptr::eq(old.tail(), new.tail()), "unchanged tail re-copied");
+            }
+            prop_assert!(!store.refresh(&mut snap, |_, _| {}), "nothing moved since");
+            grown.clear();
+        }
+        store.refresh(&mut snap, |_, _| {});
+        prop_assert_eq!(&snap, &store.snapshot());
+    }
+
+    /// A snapshot from another store — same or different shard count —
+    /// refreshes to that store's fresh snapshot, never a blend.
+    #[test]
+    fn foreign_snapshot_refreshes_to_the_fresh_one(
+        ops_a in prop::collection::vec(op_strategy(), 0..30),
+        ops_b in prop::collection::vec(op_strategy(), 0..30),
+        shards_a in 1..8usize,
+        shards_b in 1..8usize,
+        seal in 1..8usize,
+    ) {
+        let a = build(shards_a, seal, &ops_a);
+        let b = build(shards_b, seal, &ops_b);
+        let mut snap = a.snapshot();
+        let mut changed = BTreeSet::new();
+        let moved = b.refresh(&mut snap, |id, _| {
+            changed.insert(id);
+        });
+        prop_assert!(moved);
+        let fresh = b.snapshot();
+        prop_assert_eq!(&snap, &fresh);
+        prop_assert_eq!(&snap.epochs, &fresh.epochs);
+        prop_assert!(changed.iter().eq(fresh.streams.keys()), "a rebuild reports every stream");
+    }
+
     /// Sealed-run + tail iteration is byte-identical to the flat log,
     /// for every read path: `iter`, positional `get`, `to_vec`,
     /// `stream_segments`, and slice equality.
@@ -122,14 +221,7 @@ proptest! {
         shards in 1..6usize,
         seal in 1..7usize,
     ) {
-        let store = SegmentStore::with_config(StoreConfig { shards, seal_threshold: seal });
-        let mut lens: BTreeMap<u64, usize> = BTreeMap::new();
-        for op in &ops {
-            let from = *lens.get(&op.stream).unwrap_or(&0);
-            let next: Vec<Segment> = (0..op.count).map(|i| seg(op.stream, from + i)).collect();
-            store.append_batch(op.stream, StreamId(op.stream), &next);
-            *lens.entry(op.stream).or_default() += op.count;
-        }
+        let store = build(shards, seal, &ops);
         prop_assert_eq!(store.snapshot(), store.snapshot_deep());
     }
 }

@@ -33,8 +33,8 @@
 //! * [`wire`] — the bit-exact body codec for [`Query`]/[`QueryResult`]
 //!   riding `pla-net`'s `QueryReq`/`QueryResp` frames.
 //! * [`server`] — [`QueryServer`], the collector-side responder over
-//!   any [`Acceptor`](pla_net::Acceptor), with epoch-lazy snapshot
-//!   rebuilds.
+//!   any [`Acceptor`](pla_net::Acceptor), refreshing one engine in
+//!   place per request (only the streams that grew are re-viewed).
 //! * [`client`] — [`QueryClient`], a sans-I/O remote reader with
 //!   pipelining, per-request timeouts, redial, and an epoch-validated
 //!   result cache ([`SnapshotCache`]).

@@ -3,11 +3,11 @@
 //! [`QueryReq`](NetFrame::QueryReq) / [`EpochsReq`](NetFrame::EpochsReq)
 //! frames against a shared [`SegmentStore`].
 //!
-//! Serving never blocks ingest: the engine wraps
-//! [`SegmentStore::snapshot`] (O(streams) pointer work) and is rebuilt
-//! lazily — only when a request arrives **and** the store's per-shard
-//! [`epochs`](SegmentStore::epochs) moved since the last build. A
-//! read-only workload over a quiet store never re-snapshots.
+//! Serving never blocks ingest: the server keeps one
+//! [`StoreQueryEngine`] and, per request, refreshes it in place
+//! ([`StoreQueryEngine::refresh`]). A refresh on a quiet store is one
+//! read lock per shard; otherwise only the streams that grew since the
+//! last request are re-viewed and re-indexed, never the whole store.
 //!
 //! Same driver split as `pla-ops`'s `OpsServer`: a sync non-blocking
 //! [`pump`](QueryServer::pump) owns all protocol logic, and
@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
-use pla_ingest::SegmentStore;
+use pla_ingest::{SegmentStore, StoreSnapshot};
 use pla_net::frame::{encode, FrameDecoder, NetFrame, Outbox, PROTOCOL_VERSION};
 use pla_net::listen::Acceptor;
 use pla_net::{runtime, Link, NetConfig};
@@ -103,7 +103,8 @@ pub struct QueryServerStats {
     pub bytes_in: u64,
     /// Link bytes written.
     pub bytes_out: u64,
-    /// Engine rebuilds (one per request round that found moved epochs).
+    /// Engine refreshes that found moved epochs (at most one per
+    /// request).
     pub rebuilds: u64,
     /// Service-time distribution over answered queries.
     pub latency: ServiceLatency,
@@ -133,8 +134,9 @@ pub struct QueryServer<A: Acceptor> {
     store: Arc<SegmentStore>,
     config: NetConfig,
     conns: Vec<QueryConn<A::Link>>,
-    engine: Option<StoreQueryEngine>,
-    engine_epochs: Box<[u64]>,
+    engine: StoreQueryEngine,
+    /// Reused encode buffer for outgoing frames.
+    scratch: BytesMut,
     token_state: u64,
     stats: QueryServerStats,
 }
@@ -148,8 +150,8 @@ impl<A: Acceptor> QueryServer<A> {
             store,
             config,
             conns: Vec::new(),
-            engine: None,
-            engine_epochs: Box::new([]),
+            engine: StoreQueryEngine::new(StoreSnapshot::default()),
+            scratch: BytesMut::new(),
             token_state: 0x5EED_0F5E_51D5_0001,
             stats: QueryServerStats::default(),
         }
@@ -172,18 +174,6 @@ impl<A: Acceptor> QueryServer<A> {
         let mut s = self.stats.clone();
         s.connections = self.conns.len();
         s
-    }
-
-    /// Rebuilds the engine iff the store's epochs moved (or no engine
-    /// exists yet); returns the engine to answer with.
-    fn fresh_engine(&mut self) -> &StoreQueryEngine {
-        let epochs = self.store.epochs();
-        if self.engine.is_none() || epochs != self.engine_epochs {
-            self.engine = Some(StoreQueryEngine::new(self.store.snapshot()));
-            self.engine_epochs = epochs;
-            self.stats.rebuilds += 1;
-        }
-        self.engine.as_ref().expect("engine just ensured")
     }
 
     /// One non-blocking round: accept pending links, read and answer
@@ -257,12 +247,13 @@ impl<A: Acceptor> QueryServer<A> {
         moved
     }
 
-    /// Encodes `frame` and stages it — one whole frame per
-    /// [`Outbox::stage`] call, the torn-write invariant.
-    fn stage(conn: &mut QueryConn<A::Link>, frame: &NetFrame) {
-        let mut buf = BytesMut::new();
-        encode(frame, &mut buf);
-        conn.outbox.stage(&buf);
+    /// Encodes `frame` into the reused `scratch` buffer and stages it —
+    /// one whole frame per [`Outbox::stage`] call, the torn-write
+    /// invariant.
+    fn stage(scratch: &mut BytesMut, conn: &mut QueryConn<A::Link>, frame: &NetFrame) {
+        scratch.clear();
+        encode(frame, scratch);
+        conn.outbox.stage(scratch);
     }
 
     fn on_frame(&mut self, conn: &mut QueryConn<A::Link>, frame: NetFrame) {
@@ -278,6 +269,7 @@ impl<A: Acceptor> QueryServer<A> {
                     };
                     conn.token = Some(minted);
                     Self::stage(
+                        &mut self.scratch,
                         conn,
                         &NetFrame::HelloAck {
                             version: PROTOCOL_VERSION,
@@ -290,6 +282,7 @@ impl<A: Acceptor> QueryServer<A> {
                     // Version mismatch: refuse cleanly, then close.
                     self.stats.refused += 1;
                     Self::stage(
+                        &mut self.scratch,
                         conn,
                         &NetFrame::HelloAck {
                             version: PROTOCOL_VERSION,
@@ -311,7 +304,12 @@ impl<A: Acceptor> QueryServer<A> {
             NetFrame::QueryReq { req_id, body } => {
                 let started = Instant::now();
                 let result = match Query::decode(&body) {
-                    Ok(query) => query.run(self.fresh_engine()),
+                    Ok(query) => {
+                        if self.engine.refresh(&self.store) {
+                            self.stats.rebuilds += 1;
+                        }
+                        query.run(&self.engine)
+                    }
                     Err(_) => {
                         // The body bytes are garbage: the peer and we
                         // disagree about the codec — kill the
@@ -326,23 +324,29 @@ impl<A: Acceptor> QueryServer<A> {
                     self.stats.errors += 1;
                 }
                 self.stats.latency.observe(started.elapsed().as_secs_f64());
-                Self::stage(conn, &NetFrame::QueryResp { req_id, body: result.encode() });
+                Self::stage(
+                    &mut self.scratch,
+                    conn,
+                    &NetFrame::QueryResp { req_id, body: result.encode() },
+                );
             }
             NetFrame::EpochsReq { req_id } => {
                 self.stats.epoch_probes += 1;
                 Self::stage(
+                    &mut self.scratch,
                     conn,
-                    &NetFrame::EpochsResp { req_id, epochs: self.store.epochs().to_vec() },
+                    &NetFrame::EpochsResp { req_id, epochs: self.store.epochs().into_vec() },
                 );
             }
             NetFrame::Heartbeat { seq } => {
                 self.stats.heartbeats += 1;
-                Self::stage(conn, &NetFrame::Heartbeat { seq });
+                Self::stage(&mut self.scratch, conn, &NetFrame::Heartbeat { seq });
             }
             // A duplicated Hello (replayed by a flaky path) re-states a
             // bound session: re-ack idempotently with the same token.
             NetFrame::Hello { version, .. } if version == PROTOCOL_VERSION => {
                 Self::stage(
+                    &mut self.scratch,
                     conn,
                     &NetFrame::HelloAck { version: PROTOCOL_VERSION, token, cursors: vec![] },
                 );

@@ -46,7 +46,7 @@
 use std::collections::BTreeMap;
 
 use pla_core::Segment;
-use pla_ingest::{StoreSnapshot, StreamId, StreamView};
+use pla_ingest::{SegmentStore, StoreSnapshot, StreamId, StreamView};
 
 use crate::types::{Bounded, BoundedCount, QueryError};
 
@@ -100,6 +100,15 @@ struct StreamIndex {
     dims: usize,
 }
 
+impl StreamIndex {
+    fn new(view: &StreamView) -> Self {
+        let mut starts = Vec::with_capacity(view.runs().len() + 1);
+        starts.extend(view.runs().iter().map(|r| r.segments()[0].t_start));
+        starts.extend(view.tail().first().map(|s| s.t_start));
+        Self { starts, dims: view.get(0).map_or(0, Segment::dims) }
+    }
+}
+
 /// Point/range/aggregate queries over a live [`StoreSnapshot`]. See the
 /// module docs.
 pub struct StoreQueryEngine {
@@ -127,20 +136,27 @@ impl StoreQueryEngine {
     /// Indexes a snapshot for querying. Costs O(streams + runs): only
     /// each block's *first* breakpoint is read, never the segments.
     pub fn new(snap: StoreSnapshot) -> Self {
-        let index = snap
-            .streams
-            .iter()
-            .map(|(&id, view)| {
-                let mut starts: Vec<f64> =
-                    view.runs().iter().map(|r| r.segments()[0].t_start).collect();
-                if let Some(first) = view.tail().first() {
-                    starts.push(first.t_start);
-                }
-                let dims = view.get(0).map_or(0, Segment::dims);
-                (id, StreamIndex { starts, dims })
-            })
-            .collect();
+        let index = snap.streams.iter().map(|(&id, view)| (id, StreamIndex::new(view))).collect();
         Self { snap, index }
+    }
+
+    /// Brings the engine up to date with `store` in place and returns
+    /// whether anything changed: [`SegmentStore::refresh`] re-views the
+    /// streams that grew, and exactly those are re-indexed. Answers
+    /// afterwards are those of `StoreQueryEngine::new(store.snapshot())`.
+    /// A quiet store costs one read lock per shard and no allocation.
+    pub fn refresh(&mut self, store: &SegmentStore) -> bool {
+        let index = &mut self.index;
+        let changed = store.refresh(&mut self.snap, |id, view| {
+            index.insert(id, StreamIndex::new(view));
+        });
+        // Every stream in the snapshot is indexed, so a surplus means the
+        // snapshot came from another store and was rebuilt.
+        if index.len() != self.snap.streams.len() {
+            let streams = &self.snap.streams;
+            index.retain(|id, _| streams.contains_key(id));
+        }
+        changed
     }
 
     /// The wrapped snapshot.
@@ -505,6 +521,17 @@ mod tests {
         let agg = eng.range(StreamId(1), 0.0, 2.0, 0).unwrap();
         assert_eq!((agg.min, agg.max), (0.0, 10.0));
         assert!((agg.integral - 10.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn refresh_from_another_store_forgets_streams_it_lacks() {
+        let mut eng = StoreQueryEngine::new(sample_store().snapshot());
+        let other = SegmentStore::with_config(StoreConfig { shards: 2, seal_threshold: 2 });
+        other.append(1, StreamId(6), seg(0.0, 3.0, 1.0, 3.0));
+        assert!(eng.refresh(&other));
+        assert_eq!(eng.streams().collect::<Vec<_>>(), [StreamId(6)]);
+        assert!(matches!(eng.point(StreamId(5), 1.0, 0), Err(QueryError::UnknownStream(5))));
+        assert_eq!(eng.point(StreamId(6), 0.5, 0).unwrap(), 3.0);
     }
 
     #[test]

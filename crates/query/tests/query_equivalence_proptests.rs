@@ -3,7 +3,9 @@
 //! be **bit-identical** (per the codec's `f64::to_bits` round-trip) to
 //! what `StoreQueryEngine` answers locally on the same snapshot —
 //! including the ±ε bounded variants, `point_with_stats` comparison
-//! counts, and every typed engine refusal.
+//! counts, and every typed engine refusal. A server's engine is
+//! refreshed in place while the store grows, so the same bytes are also
+//! demanded of a refreshed engine against a freshly built one.
 
 mod common;
 
@@ -15,7 +17,7 @@ use proptest::prelude::*;
 use pla_ingest::{SegmentStore, StoreConfig, StreamId};
 use pla_net::listen::MemoryAcceptor;
 use pla_net::{MemoryRedial, NetConfig};
-use pla_query::{Query, QueryClient, QueryClientConfig, QueryServer, Response};
+use pla_query::{Query, QueryClient, QueryClientConfig, QueryServer, Response, StoreQueryEngine};
 
 use common::{assert_bit_equal, drive_to_completion, local_answers, seg};
 
@@ -44,9 +46,10 @@ fn build_store(logs: &[(u64, Vec<(f64, f64)>)]) -> Arc<SegmentStore> {
     Arc::new(store)
 }
 
-fn arb_query() -> impl Strategy<Value = Query> {
+/// A query mix over times in `[-2, t_max)`.
+fn arb_query(t_max: f64) -> impl Strategy<Value = Query> {
     let stream = || prop_oneof![Just(1u64), Just(2), Just(3), Just(8), Just(42)];
-    let t = || -2.0f64..18.0f64;
+    let t = move || -2.0f64..t_max;
     let dim = || 0u32..3u32;
     // Includes an invalid epsilon so InvalidEpsilon refusals ride back.
     let eps = || prop_oneof![Just(-0.25f64), Just(0.0), 1e-6f64..1.0];
@@ -72,7 +75,7 @@ fn arb_query() -> impl Strategy<Value = Query> {
         }),
         (stream(), t(), t(), dim(), eps())
             .prop_map(|(stream, a, b, dim, eps)| Query::RangeBounded { stream, a, b, dim, eps }),
-        (stream(), dim(), t(), eps(), prop::collection::vec(-2.0f64..18.0, 0..6)).prop_map(
+        (stream(), dim(), t(), eps(), prop::collection::vec(t(), 0..6)).prop_map(
             |(stream, dim, threshold, eps, times)| Query::CountAbove {
                 stream,
                 dim,
@@ -119,9 +122,46 @@ proptest! {
     #[test]
     fn remote_answers_are_bit_identical_to_local(
         logs in store_strategy(),
-        queries in prop::collection::vec(arb_query(), 1..24),
+        queries in prop::collection::vec(arb_query(18.0), 1..24),
     ) {
         assert_remote_equals_local(build_store(&logs), &queries);
+    }
+
+    /// An engine refreshed after every append batch answers the whole
+    /// mix with the bytes of an engine built on a fresh snapshot. Small
+    /// seal thresholds make batches cross seal boundaries (a tail's first
+    /// segment becomes a run start), and streams appear mid-run.
+    #[test]
+    fn refreshed_engine_answers_like_a_fresh_one(
+        batches in prop::collection::vec(
+            (0..STREAM_POOL.len(), prop::collection::vec((-20.0f64..20.0, -20.0f64..20.0), 1..5)),
+            1..10,
+        ),
+        shards in 1..4usize,
+        seal in 1..4usize,
+        queries in prop::collection::vec(arb_query(64.0), 1..24),
+    ) {
+        let store = SegmentStore::with_config(StoreConfig { shards, seal_threshold: seal });
+        let mut engine = StoreQueryEngine::new(store.snapshot());
+        let mut lens = [0usize; STREAM_POOL.len()];
+        for (which, endpoints) in &batches {
+            let segs: Vec<_> = endpoints
+                .iter()
+                .enumerate()
+                .map(|(i, &(x0, x1))| {
+                    let t = (lens[*which] + i) as f64 * 4.0;
+                    seg(t, x0, t + 2.0, x1)
+                })
+                .collect();
+            lens[*which] += segs.len();
+            store.append_batch(1, StreamId(STREAM_POOL[*which]), &segs);
+            let moved = engine.refresh(&store);
+            prop_assert!(moved);
+            let fresh = StoreQueryEngine::new(store.snapshot());
+            for q in &queries {
+                prop_assert_eq!(q.run(&engine).encode(), q.run(&fresh).encode(), "{:?}", q);
+            }
+        }
     }
 
     /// Focused bounded-variant sweep: the ±ε arithmetic happens only on

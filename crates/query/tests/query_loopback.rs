@@ -2,8 +2,8 @@
 //! and `QueryServer` over in-memory links must answer every query kind
 //! bit-identically to the local `StoreQueryEngine`, refuse mismatched
 //! protocol versions cleanly in both directions, echo heartbeats,
-//! absorb duplicate and out-of-order responses, and convert a silent
-//! server into a typed timeout.
+//! absorb duplicate and out-of-order responses, convert a silent
+//! server into a typed timeout, and see appends made between requests.
 
 mod common;
 
@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
+use pla_ingest::StreamId;
 use pla_net::frame::{encode, FrameDecoder, NetFrame, PROTOCOL_VERSION};
 use pla_net::listen::{Acceptor, MemoryAcceptor};
 use pla_net::{Link, MemoryRedial, NetConfig};
@@ -18,7 +19,9 @@ use pla_query::{
     ClientError, Outcome, Query, QueryClient, QueryClientConfig, QueryResult, QueryServer, Response,
 };
 
-use common::{all_queries, assert_bit_equal, drive_to_completion, local_answers, sample_store};
+use common::{
+    all_queries, assert_bit_equal, drive_to_completion, local_answers, sample_store, seg,
+};
 
 fn loopback() -> (QueryClient<MemoryRedial>, QueryServer<MemoryAcceptor>) {
     let store = sample_store();
@@ -69,6 +72,47 @@ fn every_query_kind_answers_bit_identically_to_the_local_engine() {
     assert_eq!((cs.dials, cs.established), (1, 1));
     assert_eq!((cs.retransmits, cs.dup_drops, cs.timeouts), (0, 0, 0));
     assert!(client.is_idle());
+}
+
+#[test]
+fn appends_between_requests_are_served_by_the_next_request() {
+    let (mut client, mut server) = loopback();
+    let store = server.store().clone();
+    let mut now = Instant::now();
+    let mut ask = |client: &mut QueryClient<MemoryRedial>,
+                   server: &mut QueryServer<MemoryAcceptor>,
+                   query: Query| {
+        let id = client.submit(query.clone(), now);
+        let done = drive_to_completion(client, server, now, &[id], 1_000);
+        now += Duration::from_secs(1);
+        let got = unwrap_result(&done[&id]).clone();
+        assert_bit_equal(&got, &local_answers(server.store(), &[query])[0], "live store");
+        got
+    };
+
+    // Stream 5 ends at t = 6: a point past its tail is uncovered.
+    let past_tail = Query::Point { stream: 5, t: 7.0, dim: 0 };
+    assert!(matches!(ask(&mut client, &mut server, past_tail.clone()), QueryResult::Err(_)));
+    assert_eq!(server.stats().rebuilds, 1);
+    ask(&mut client, &mut server, Query::Streams);
+    assert_eq!(server.stats().rebuilds, 1, "no append, no refresh work");
+
+    // Growing the tail across a seal boundary flips the point to its value.
+    store.append(1, StreamId(5), seg(6.0, 4.0, 8.0, 0.0));
+    assert_eq!(ask(&mut client, &mut server, past_tail), QueryResult::Value(2.0));
+    assert_eq!(server.stats().rebuilds, 2);
+
+    // A stream that did not exist becomes visible.
+    store.append(3, StreamId(77), seg(0.0, 1.0, 1.0, 3.0));
+    assert_eq!(
+        ask(&mut client, &mut server, Query::Streams),
+        QueryResult::Streams(vec![2, 5, 9, 77])
+    );
+    assert_eq!(
+        ask(&mut client, &mut server, Query::Point { stream: 77, t: 0.5, dim: 0 }),
+        QueryResult::Value(2.0)
+    );
+    assert_eq!(server.stats().rebuilds, 3);
 }
 
 #[test]
