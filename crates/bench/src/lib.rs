@@ -20,13 +20,33 @@ pub use pla_signal::{multi_walk, random_walk, sea_surface, WalkParams};
 /// a measurement can ask "how many heap allocations did this closure
 /// perform?" — the number that pins the filters' allocation-free
 /// hot-path invariant.
+///
+/// Besides the process-wide totals, each thread counts its own
+/// allocations, and [`count`] reads the calling thread's counter: a
+/// measurement is not disturbed by whatever other threads (libtest's
+/// next test, say) allocate at the same time.
 #[cfg(feature = "alloc-counter")]
 pub mod alloc_counter {
     use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static ALLOCS: AtomicU64 = AtomicU64::new(0);
     static BYTES: AtomicU64 = AtomicU64::new(0);
+
+    thread_local! {
+        // `const`-initialised and drop-free, so touching it from inside
+        // the allocator never allocates or registers a destructor.
+        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn record(bytes: usize) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+        // `try_with`: a thread allocating during its TLS teardown is
+        // still counted process-wide.
+        let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    }
 
     /// [`System`] wrapper counting allocation events and bytes.
     /// Deallocations are intentionally not tracked: the invariant under
@@ -34,11 +54,12 @@ pub mod alloc_counter {
     pub struct CountingAllocator;
 
     // SAFETY: delegates verbatim to `System`; the counters carry no
-    // allocator state.
+    // allocator state, and bumping them never allocates (atomics, plus
+    // a `const`-initialised, drop-free thread-local), so the allocator
+    // is never re-entered.
     unsafe impl GlobalAlloc for CountingAllocator {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+            record(layout.size());
             unsafe { System.alloc(layout) }
         }
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -47,8 +68,7 @@ pub mod alloc_counter {
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
             // A growth is a fresh allocation request from the hot path's
             // point of view.
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-            BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+            record(new_size);
             unsafe { System.realloc(ptr, layout, new_size) }
         }
     }
@@ -66,13 +86,19 @@ pub mod alloc_counter {
         BYTES.load(Ordering::SeqCst)
     }
 
+    /// Allocation events the calling thread has performed so far
+    /// (monotonic).
+    fn thread_allocations() -> u64 {
+        THREAD_ALLOCS.with(Cell::get)
+    }
+
     /// Runs `f`, returning its result plus the number of allocation
-    /// events it performed. Only meaningful single-threaded (counters
-    /// are process-wide).
+    /// events the calling thread performed meanwhile. Work `f` hands to
+    /// other threads is not counted.
     pub fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        let before = allocations();
+        let before = thread_allocations();
         let result = f();
-        (result, allocations() - before)
+        (result, thread_allocations() - before)
     }
 }
 

@@ -8,7 +8,10 @@
 //! held to the same bar because their state migrated to the same
 //! inline-dimension storage. The query tier's in-place engine refresh
 //! is pinned the same way: free on a quiet store, and costing the same
-//! whatever the number of streams that did not grow.
+//! whatever the number of streams that did not grow. The wire→store
+//! path gets a per-segment budget rather than zero (a frame is copied
+//! once for replay and once out of the decoder), and the same count
+//! whatever the number of idle streams.
 //!
 //! Requires the counting global allocator:
 //!
@@ -26,11 +29,11 @@ use pla_core::{Segment, INLINE_DIMS};
 use pla_ingest::{SegmentStore, StoreSnapshot, StreamId};
 use pla_query::StoreQueryEngine;
 
-/// The allocation counter is process-wide, but libtest runs `#[test]`s on
-/// parallel threads — another test's setup allocations would land inside
-/// this test's counting window. Serialize every counting test on one
-/// lock (a poisoned lock just means an earlier test failed; counting is
-/// still safe).
+/// `alloc_counter::count` reads the calling thread's own counter, so the
+/// allocations of tests libtest runs on other threads never land in a
+/// measurement. The counting tests still take one lock, so none shares
+/// the machine with another (a poisoned lock just means an earlier test
+/// failed; counting is still safe).
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -244,4 +247,124 @@ fn engine_refresh_cost_is_independent_of_unchanged_streams() {
         "a refresh after one append must re-view only that stream: \
          {small} allocations at 64 streams but {large} at 512"
     );
+}
+
+/// The `k`-th segment of one stream on the wire→store path: two
+/// connected segments follow every disconnected one, so the sender
+/// ships both `Start`+`End` and lone-`End` frames.
+fn wire_segment(k: usize) -> Segment {
+    let t = 3.0 * k as f64;
+    let connected = !k.is_multiple_of(3);
+    let t_start = if connected { t - 1.0 } else { t };
+    Segment {
+        t_start,
+        x_start: [t_start.sin()].into(),
+        t_end: t + 2.0,
+        x_end: [(t + 2.0).sin()].into(),
+        connected,
+        n_points: 3,
+        new_recordings: if connected { 1 } else { 2 },
+    }
+}
+
+/// Heap allocations per segment on the wire→store path at `streams`
+/// d = 1 streams: `SessionSender` → memory link → session-mode
+/// `Collector` → `SegmentStore`, all on this thread, pumping after every
+/// 5 segments. Segments go round-robin, so every stream receives the
+/// same number in the warm-up and in the measured window — whatever the
+/// stream count, each stream's buffers are in the same phase of growth
+/// and its store log seals exactly once per window.
+fn wire_to_store_allocs_per_segment(streams: u64) -> f64 {
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    use pla_net::{
+        Collector, MemoryAcceptor, MemoryRedial, NetConfig, SessionConfig, SessionSender,
+    };
+    use pla_transport::wire::FixedCodec;
+
+    const PER_STREAM: usize = 64;
+    const PUMP_EVERY: usize = 5;
+    let cfg = NetConfig::default();
+    let sess = SessionConfig::default();
+    let store = Arc::new(SegmentStore::new());
+    let acceptor = MemoryAcceptor::new();
+    let connector = acceptor.connector();
+    let mut collector =
+        Collector::with_sessions(FixedCodec, 1, cfg, sess, acceptor, Arc::clone(&store));
+    // A frozen clock: no heartbeat or liveness deadline ever fires, so
+    // every pump round is pure data and acks.
+    let now = Instant::now();
+    let mut tx =
+        SessionSender::new(FixedCodec, 1, cfg, sess, MemoryRedial::new(connector, 1 << 20), now);
+    type Tx = SessionSender<FixedCodec, MemoryRedial>;
+    type Coll = Collector<FixedCodec, MemoryAcceptor>;
+    let pump = |tx: &mut Tx, collector: &mut Coll| {
+        tx.pump_at(now);
+        collector.pump_at(now).expect("clean stream");
+        tx.pump_at(now);
+    };
+    for _ in 0..4 {
+        pump(&mut tx, &mut collector);
+    }
+    assert!(tx.is_established(), "the session handshake completed");
+
+    let mut sent = 0usize;
+    let mut send_round = |tx: &mut Tx, collector: &mut Coll| {
+        for _ in 0..streams {
+            let stream = sent as u64 % streams;
+            let k = sent / streams as usize;
+            tx.mux_mut().try_send_segment(stream, &wire_segment(k)).expect("credit suffices");
+            sent += 1;
+            if sent.is_multiple_of(PUMP_EVERY) {
+                pump(tx, collector);
+            }
+        }
+    };
+    for _ in 0..PER_STREAM {
+        send_round(&mut tx, &mut collector);
+    }
+    pump(&mut tx, &mut collector);
+    let before = store.total_segments();
+    let (_, allocs) = alloc_counter::count(|| {
+        for _ in 0..PER_STREAM {
+            send_round(&mut tx, &mut collector);
+        }
+    });
+    let measured = streams as usize * PER_STREAM;
+    pump(&mut tx, &mut collector);
+    assert_eq!(
+        store.total_segments() - before,
+        measured as u64,
+        "every measured segment reached the store"
+    );
+    assert_eq!(collector.stats().dup_drops, 0);
+    allocs as f64 / measured as f64
+}
+
+#[test]
+fn wire_to_store_allocations_are_bounded_and_independent_of_idle_streams() {
+    let _guard = serial();
+    let at = |streams| {
+        let per_segment = wire_to_store_allocs_per_segment(streams);
+        eprintln!("wire→store at {streams} streams: {per_segment:.3} allocations per segment");
+        per_segment
+    };
+    let (small, mid, large) = (at(64), at(256), at(1024));
+    // Two copies per segment are inherent today: the sender keeps one of
+    // each frame for replay, and the decoder hands the demux an owned
+    // payload. Everything else — acks, store seals, buffer growth —
+    // amortizes to a small fraction.
+    assert!(
+        mid <= 3.0,
+        "{mid:.2} allocations per segment at 256 streams — the wire→store path \
+         regressed past its budget of 3"
+    );
+    for (streams, other) in [(64, small), (1024, large)] {
+        assert!(
+            (other - mid).abs() <= 0.1,
+            "{other:.2} allocations per segment at {streams} streams but {mid:.2} at 256: \
+             the path must not allocate for streams that carry nothing new"
+        );
+    }
 }

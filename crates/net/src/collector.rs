@@ -14,10 +14,14 @@
 //!   decoder, demultiplexer, sequence state, and credit windows, so one
 //!   slow or replaying sender cannot corrupt another's reconstruction;
 //! * every reconstructed segment is published, in per-stream order, to
-//!   one shared [`SegmentStore`] as `(ConnId, StreamId, Segment)` —
-//!   per-connection buffers exist only transiently inside the demux;
-//!   queries read cheap O(streams) store snapshots (per-shard
-//!   consistent, `Arc`-shared sealed runs) while ingest continues.
+//!   one shared [`SegmentStore`] as `(ConnId, StreamId, Segment)`. The
+//!   store is the only segment log: each pump moves what the demux
+//!   reconstructed out of it
+//!   ([`StreamDemux::drain_ready`](pla_transport::StreamDemux::drain_ready)),
+//!   touching only the streams that have something new, so a pump costs
+//!   O(new segments), not O(streams). Queries read cheap O(streams)
+//!   store snapshots (per-shard consistent, `Arc`-shared sealed runs)
+//!   while ingest continues.
 //!
 //! The collector is a sans-I/O-style state machine like the endpoints
 //! it hosts: [`pump`](Collector::pump) does one non-blocking round
@@ -37,6 +41,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io;
+use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -185,8 +190,6 @@ struct Connection<C: Codec, L: Link> {
     last_recv: Instant,
     /// When the connection detached, for session-TTL eviction.
     detached_at: Option<Instant>,
-    /// Per-stream count of segments already published to the store.
-    published: BTreeMap<u64, usize>,
     /// Streams whose end-of-stream flush has run (Fin seen, trailing
     /// hold closed and published).
     flushed: std::collections::BTreeSet<u64>,
@@ -386,7 +389,6 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
                 token,
                 last_recv: now,
                 detached_at: None,
-                published: BTreeMap::new(),
                 flushed: std::collections::BTreeSet::new(),
                 published_total: 0,
                 backpressure: 0,
@@ -467,32 +469,33 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         }
     }
 
-    /// Publishes `conn`'s newly reconstructed segments (and, for
-    /// streams whose `Fin` arrived, the flushed trailing hold) to the
-    /// store.
+    /// Moves `conn`'s newly reconstructed segments (and, for streams
+    /// whose `Fin` just arrived, the flushed trailing hold) out of its
+    /// demux into the store. Costs O(new Fins + streams with new
+    /// segments): idle streams are never visited.
     fn publish_conn(&mut self, conn: u64) {
         let Some(c) = self.conns.get_mut(&conn) else { return };
-        let streams: Vec<u64> = c.rx.demux().streams().collect();
-        for stream in streams {
-            if c.rx.is_finished(stream) && !c.flushed.contains(&stream) {
+        if c.rx.finished_count() > c.flushed.len() {
+            let fresh: Vec<u64> =
+                c.rx.finished_streams().filter(|s| !c.flushed.contains(s)).collect();
+            for stream in fresh {
                 c.rx.demux_mut().flush_stream(stream);
                 c.flushed.insert(stream);
             }
-            let log = c.rx.demux().segments(stream).unwrap_or(&[]);
-            let from = c.published.get(&stream).copied().unwrap_or(0);
-            if log.len() > from {
-                if self.quarantined_streams.contains(&stream) {
-                    // Shed instead of publish, but still advance the
-                    // publish cursor: a later release resumes from live
-                    // data, it does not backfill the quarantined span.
-                    self.shed_segments += (log.len() - from) as u64;
-                } else {
-                    self.store.append_batch(conn, StreamId(stream), &log[from..]);
-                    c.published_total += (log.len() - from) as u64;
-                }
-                c.published.insert(stream, log.len());
-            }
         }
+        let (store, quarantined) = (&self.store, &self.quarantined_streams);
+        let (shed, published) = (&mut self.shed_segments, &mut c.published_total);
+        c.rx.demux_mut().drain_ready(|stream, segs| {
+            if quarantined.contains(&stream) {
+                // Shed instead of publish: the segments leave the demux
+                // either way, so a later release resumes from live data
+                // and never backfills the quarantined span.
+                *shed += segs.len() as u64;
+            } else {
+                store.append_batch(conn, StreamId(stream), segs);
+                *published += segs.len() as u64;
+            }
+        });
     }
 
     /// Issues a fresh session token: unique among live sessions and
@@ -685,10 +688,13 @@ impl<C: Codec + Clone, A: Acceptor> Collector<C, A> {
         // rebind and swap the acceptor.
         let _ = self.poll_accept_at(now);
         let _ = self.pump_sessions(now);
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
         let mut moved = 0;
         let mut first_failure = None;
-        for id in ids {
+        // Successor lookups instead of a collected id list keep the round
+        // off the heap; pumping a connection never adds or removes one.
+        let mut next = self.conns.keys().next().copied();
+        while let Some(id) = next {
+            next = self.conns.range((Excluded(id), Unbounded)).next().map(|(&k, _)| k);
             match self.pump_conn_at(ConnId(id), now) {
                 Ok(n) => moved += n,
                 // Quarantine already happened; keep pumping the others
@@ -1163,6 +1169,124 @@ mod tests {
         assert_eq!(log.len(), 6, "no loss, no duplication across the reconnect");
         assert!(coll.stats().dup_drops > 0, "the replay was partially duplicate");
         assert!(!coll.reattach(ConnId(99), MemoryLink::pair(8).0), "unknown conn refused");
+    }
+
+    /// Pumps sender and collector until neither moves a byte.
+    fn settle(
+        coll: &mut Collector<FixedCodec, MemoryAcceptor>,
+        tx: &mut MuxSender<FixedCodec>,
+        link: &mut MemoryLink,
+    ) {
+        loop {
+            let moved = pump_sender(tx, link).unwrap() + coll.pump().unwrap();
+            if moved == 0 {
+                break;
+            }
+        }
+    }
+
+    /// What a dedicated single-stream receiver reconstructs from
+    /// `segs` — the log the store must hold for a fully published stream.
+    fn reconstructed(segs: &[Segment]) -> Vec<Segment> {
+        let mut codec = FixedCodec;
+        let mut buf = BytesMut::new();
+        for seg in segs {
+            pla_transport::wire::segment_messages(seg, |m| {
+                codec.encode(&m, 1, &mut buf);
+            });
+        }
+        let mut rx = pla_transport::Receiver::new(FixedCodec, 1);
+        rx.consume(buf.freeze()).unwrap();
+        rx.into_segments()
+    }
+
+    /// Per-stream quarantine acts on what each pump reconstructs: the
+    /// segments that arrive while a stream is quarantined are shed — all
+    /// of them, and nothing else — and a release resumes with live data,
+    /// never backfilling the shed span. Its neighbour stream is untouched.
+    #[test]
+    fn mid_stream_quarantine_sheds_exactly_the_quarantined_span() {
+        let cfg = NetConfig::default();
+        let (mut coll, connector, store) = make(cfg);
+        let mut link = connector.connect(4096);
+        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+        let send = |tx: &mut MuxSender<FixedCodec>, range: std::ops::Range<usize>| {
+            for i in range {
+                tx.try_send_segment(5, &seg(i)).unwrap();
+                tx.try_send_segment(6, &seg(i)).unwrap();
+            }
+        };
+        send(&mut tx, 0..3);
+        settle(&mut coll, &mut tx, &mut link);
+        assert_eq!(store.stream_segments(StreamId(5)).unwrap().len(), 3);
+
+        assert!(coll.quarantine_stream(5));
+        send(&mut tx, 3..7);
+        settle(&mut coll, &mut tx, &mut link);
+        assert_eq!(coll.stats().shed_segments, 4, "exactly the quarantined span is shed");
+        assert_eq!(store.stream_segments(StreamId(5)).unwrap().len(), 3, "nothing published");
+
+        assert!(coll.release_stream(5));
+        settle(&mut coll, &mut tx, &mut link);
+        assert_eq!(store.stream_segments(StreamId(5)).unwrap().len(), 3, "no backfill");
+        send(&mut tx, 7..9);
+        settle(&mut coll, &mut tx, &mut link);
+        let live = reconstructed(&[0, 1, 2, 7, 8].map(seg));
+        assert_eq!(store.stream_segments(StreamId(5)).unwrap(), live, "resumed from live data");
+        let all = reconstructed(&(0..9).map(seg).collect::<Vec<_>>());
+        assert_eq!(store.stream_segments(StreamId(6)).unwrap(), all, "neighbour untouched");
+        let stats = coll.stats();
+        assert_eq!(stats.shed_segments, 4);
+        assert_eq!(stats.segments, 5 + 9, "published and shed segments are disjoint");
+    }
+
+    /// A stream's trailing hold only becomes a segment when its `Fin`
+    /// flushes it. When the `Fin` lands after the stream's earlier
+    /// segments were already published, the hold is published on its
+    /// own — exactly once, however often the `Fin` is replayed.
+    #[test]
+    fn a_fin_after_a_drain_publishes_the_trailing_hold_once() {
+        let cfg = NetConfig::default();
+        let (mut coll, connector, store) = make(cfg);
+        let mut link = connector.connect(4096);
+        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+        let hold = Segment {
+            t_start: 100.0,
+            x_start: [3.0].into(),
+            t_end: 110.0,
+            x_end: [3.0].into(),
+            connected: false,
+            n_points: 4,
+            new_recordings: 1,
+        };
+        let sent = [seg(0), seg(1), hold];
+        for s in &sent {
+            tx.try_send_segment(4, s).unwrap();
+        }
+        settle(&mut coll, &mut tx, &mut link);
+        let want = reconstructed(&sent);
+        assert_eq!(want.len(), 3, "the reference flushes the hold into a third segment");
+        assert_eq!(
+            store.stream_segments(StreamId(4)).unwrap(),
+            want[..2],
+            "published so far; the hold is still open"
+        );
+
+        tx.finish_stream(4).unwrap();
+        settle(&mut coll, &mut tx, &mut link);
+        assert_eq!(store.stream_segments(StreamId(4)).unwrap(), want, "the Fin published the hold");
+
+        // Replay the Fin over a fresh link: nothing is published twice.
+        link.sever();
+        coll.pump().unwrap();
+        assert_eq!(coll.detached(), vec![ConnId(1)]);
+        let (mut client, server) = MemoryLink::pair(4096);
+        assert!(coll.reattach(ConnId(1), server));
+        tx.on_reconnect();
+        settle(&mut coll, &mut tx, &mut client);
+        assert_eq!(store.stream_segments(StreamId(4)).unwrap(), want, "exactly once");
+        assert_eq!(coll.stats().segments, 3);
+        assert!(coll.conn_complete(ConnId(1)));
     }
 
     fn make_sessions(

@@ -210,16 +210,26 @@ fn put_u32_le(out: &mut BytesMut, n: u32) {
     out.put_slice(&n.to_le_bytes());
 }
 
+/// Encodes a [`NetFrame::Data`] frame straight from a payload slice onto
+/// `out`, returning the encoded length — the sender's hot path, which
+/// never materializes the payload as [`Bytes`]. [`encode`] delegates
+/// here, so there is one `Data` encoder.
+pub fn encode_data(stream: u64, seq: u64, payload: &[u8], out: &mut BytesMut) -> usize {
+    let before = out.len();
+    put_u32_le(out, (1 + 16 + payload.len()) as u32);
+    out.put_u8(KIND_DATA);
+    out.put_u64_le(stream);
+    out.put_u64_le(seq);
+    out.put_slice(payload);
+    out.len() - before
+}
+
 /// Encodes `frame` onto `out`, returning the encoded length.
 pub fn encode(frame: &NetFrame, out: &mut BytesMut) -> usize {
     let before = out.len();
     match frame {
         NetFrame::Data { stream, seq, payload } => {
-            put_u32_le(out, (1 + 16 + payload.len()) as u32);
-            out.put_u8(KIND_DATA);
-            out.put_u64_le(*stream);
-            out.put_u64_le(*seq);
-            out.put_slice(payload);
+            encode_data(*stream, *seq, payload, out);
         }
         NetFrame::Ack { stream, through_seq } => {
             put_u32_le(out, 1 + 16);
@@ -376,7 +386,7 @@ impl FrameDecoder {
                 NetFrame::Data {
                     stream: Self::read_u64(body, 1),
                     seq: Self::read_u64(body, 9),
-                    payload: Bytes::from(body[17..].to_vec()),
+                    payload: Bytes::copy_from_slice(&body[17..]),
                 }
             }
             KIND_ACK | KIND_CREDIT | KIND_FIN => {
@@ -435,7 +445,7 @@ impl FrameDecoder {
                     return Err(FrameError::Malformed("query frame shorter than its header"));
                 }
                 let req_id = Self::read_u64(body, 1);
-                let payload = Bytes::from(body[9..].to_vec());
+                let payload = Bytes::copy_from_slice(&body[9..]);
                 if kind == KIND_QUERY_REQ {
                     NetFrame::QueryReq { req_id, body: payload }
                 } else {

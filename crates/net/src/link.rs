@@ -127,7 +127,9 @@ impl Link for MemoryLink {
         }
         let room = pipe.capacity.saturating_sub(pipe.data.len());
         if room == 0 {
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "pipe full"));
+            // A bare kind: `WouldBlock` is routine, and building it must
+            // not allocate (`io::Error::new` boxes its message).
+            return Err(io::ErrorKind::WouldBlock.into());
         }
         let n = room.min(buf.len());
         pipe.data.extend(&buf[..n]);
@@ -140,12 +142,14 @@ impl Link for MemoryLink {
             return Err(io::Error::new(io::ErrorKind::ConnectionReset, "link severed"));
         }
         if pipe.data.is_empty() {
-            return Err(io::Error::new(io::ErrorKind::WouldBlock, "pipe empty"));
+            return Err(io::ErrorKind::WouldBlock.into());
         }
         let n = buf.len().min(pipe.data.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = pipe.data.pop_front().expect("checked len");
-        }
+        let (front, back) = pipe.data.as_slices();
+        let from_front = n.min(front.len());
+        buf[..from_front].copy_from_slice(&front[..from_front]);
+        buf[from_front..n].copy_from_slice(&back[..n - from_front]);
+        pipe.data.drain(..n);
         Ok(n)
     }
 

@@ -17,7 +17,7 @@ use pla_core::{ProvisionalUpdate, Segment};
 use pla_transport::wire::{provisional_message, segment_messages, Codec, Message};
 
 use crate::credit::CreditWindow;
-use crate::frame::{encode, FrameDecoder, NetFrame, Outbox, ResumeCursor};
+use crate::frame::{encode, encode_data, FrameDecoder, NetFrame, Outbox, ResumeCursor};
 use crate::{NetConfig, NetError};
 
 /// Per-stream sender state.
@@ -57,7 +57,10 @@ pub struct MuxSender<C: Codec> {
     streams: BTreeMap<u64, SendStream>,
     out: Outbox,
     frames_in: FrameDecoder,
+    /// Codec bytes of the frame being built. Cleared, never split, so
+    /// its capacity carries over from frame to frame.
     scratch: BytesMut,
+    /// The encoded `Data`/`Fin` frame being staged; reused the same way.
     frame_scratch: BytesMut,
 }
 
@@ -76,9 +79,12 @@ impl<C: Codec> MuxSender<C> {
         }
     }
 
-    fn stream_entry(&mut self, stream: u64) -> &mut SendStream {
-        let window = self.config.window;
-        self.streams.entry(stream).or_insert_with(|| SendStream {
+    fn stream_entry(
+        streams: &mut BTreeMap<u64, SendStream>,
+        window: u64,
+        stream: u64,
+    ) -> &mut SendStream {
+        streams.entry(stream).or_insert_with(|| SendStream {
             last_seq: 0,
             acked: 0,
             credit: CreditWindow::new(window),
@@ -90,12 +96,16 @@ impl<C: Codec> MuxSender<C> {
     /// Encodes `msgs` as one sequenced `Data` frame for `stream`,
     /// stages it, and retains it for replay. The credit check happens
     /// *before* anything is staged, so a refused send leaves no trace.
+    ///
+    /// One map lookup, and one allocation per frame: the replay copy.
+    /// Both scratch buffers keep their capacity across frames.
     fn try_send_messages<'a>(
         &mut self,
         stream: u64,
         msgs: impl IntoIterator<Item = &'a Message>,
     ) -> Result<(), NetError> {
-        if self.stream_entry(stream).finished {
+        let entry = Self::stream_entry(&mut self.streams, self.config.window, stream);
+        if entry.finished {
             return Err(NetError::Finished(stream));
         }
         // Each frame is a self-contained codec unit (reset first), led
@@ -107,19 +117,14 @@ impl<C: Codec> MuxSender<C> {
         for m in msgs {
             self.codec.encode(m, self.dims, &mut self.scratch);
         }
-        let payload_len = self.scratch.len() as u64;
-        let entry = self.streams.get_mut(&stream).expect("registered above");
-        if !entry.credit.try_reserve(payload_len) {
+        if !entry.credit.try_reserve(self.scratch.len() as u64) {
             return Err(NetError::Backpressure);
         }
         entry.last_seq += 1;
-        let seq = entry.last_seq;
-        let payload = self.scratch.split().freeze();
         self.frame_scratch.clear();
-        encode(&NetFrame::Data { stream, seq, payload }, &mut self.frame_scratch);
-        let frame_bytes = self.frame_scratch.split().freeze();
-        self.out.stage(&frame_bytes);
-        entry.unacked.push_back((seq, frame_bytes));
+        encode_data(stream, entry.last_seq, &self.scratch, &mut self.frame_scratch);
+        self.out.stage(&self.frame_scratch);
+        entry.unacked.push_back((entry.last_seq, Bytes::copy_from_slice(&self.frame_scratch)));
         Ok(())
     }
 
@@ -164,7 +169,7 @@ impl<C: Codec> MuxSender<C> {
     /// sends on it fail with [`NetError::Finished`]; finishing twice is
     /// idempotent.
     pub fn finish_stream(&mut self, stream: u64) -> Result<(), NetError> {
-        let entry = self.stream_entry(stream);
+        let entry = Self::stream_entry(&mut self.streams, self.config.window, stream);
         if entry.finished {
             return Ok(());
         }
@@ -172,8 +177,7 @@ impl<C: Codec> MuxSender<C> {
         let fin = NetFrame::Fin { stream, final_seq: entry.last_seq };
         self.frame_scratch.clear();
         encode(&fin, &mut self.frame_scratch);
-        let bytes = self.frame_scratch.split().freeze();
-        self.out.stage(&bytes);
+        self.out.stage(&self.frame_scratch);
         Ok(())
     }
 

@@ -275,15 +275,16 @@ impl<C: Codec> NetReceiver<C> {
         self.stage_frame(frame);
     }
 
-    /// The reconstruction state: per-stream segment logs, coverage,
-    /// counters.
+    /// The reconstruction state: per-stream segments not yet taken,
+    /// coverage, counters.
     pub fn demux(&self) -> &StreamDemux<C> {
         &self.demux
     }
 
     /// Mutable access to the reconstruction state — the collector uses
     /// it to flush a finished stream's trailing hold segment
-    /// ([`StreamDemux::flush_stream`]) before publishing.
+    /// ([`StreamDemux::flush_stream`]) and to move new segments into
+    /// its store ([`StreamDemux::drain_ready`]).
     pub fn demux_mut(&mut self) -> &mut StreamDemux<C> {
         &mut self.demux
     }
@@ -297,6 +298,11 @@ impl<C: Codec> NetReceiver<C> {
     /// Streams whose `Fin` has arrived, ascending.
     pub fn finished_streams(&self) -> impl Iterator<Item = u64> + '_ {
         self.finished.keys().copied()
+    }
+
+    /// Number of streams whose `Fin` has arrived.
+    pub(crate) fn finished_count(&self) -> usize {
+        self.finished.len()
     }
 
     /// Whether `stream` is complete.
@@ -381,7 +387,7 @@ mod tests {
     #[test]
     fn applied_data_is_acked_and_counted() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         assert!(rx.control_dirty());
         let ctl = control_frames(&mut rx);
         assert_eq!(ctl, vec![NetFrame::Ack { stream: 3, through_seq: 1 }]);
@@ -396,11 +402,11 @@ mod tests {
         // Five frames for stream 3, two for stream 8, in one round.
         for seq in 1..=5 {
             let t = seq as f64;
-            rx.on_bytes(&data_bytes(3, seq, &[Message::Point { t, x: vec![1.0] }])).unwrap();
+            rx.on_bytes(&data_bytes(3, seq, &[Message::Point { t, x: [1.0].into() }])).unwrap();
         }
         for seq in 1..=2 {
             let t = seq as f64;
-            rx.on_bytes(&data_bytes(8, seq, &[Message::Point { t, x: vec![2.0] }])).unwrap();
+            rx.on_bytes(&data_bytes(8, seq, &[Message::Point { t, x: [2.0].into() }])).unwrap();
         }
         let ctl = control_frames(&mut rx);
         let acks: Vec<&NetFrame> =
@@ -421,7 +427,7 @@ mod tests {
     #[test]
     fn duplicates_are_dropped_but_reacked() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        let frame = data_bytes(3, 1, &[Message::Point { t: 0.0, x: vec![1.0] }]);
+        let frame = data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }]);
         rx.on_bytes(&frame).unwrap();
         let _ = control_frames(&mut rx);
         rx.on_bytes(&frame).unwrap();
@@ -437,8 +443,8 @@ mod tests {
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
         // Each Point frame payload is 9 (header) + 17 = 26 bytes; two of
         // them cross half the 64-byte window.
-        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
-        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: vec![2.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
         let ctl = control_frames(&mut rx);
         assert!(
             ctl.contains(&NetFrame::Credit { stream: 1, granted_total: 52 + 64 }),
@@ -450,7 +456,7 @@ mod tests {
     #[test]
     fn fin_requires_every_frame_applied() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let mut early_fin = BytesMut::new();
         encode(&NetFrame::Fin { stream: 2, final_seq: 5 }, &mut early_fin);
         assert_eq!(
@@ -458,7 +464,7 @@ mod tests {
             Err(NetError::IncompleteFin { stream: 2, final_seq: 5, applied: 1 })
         );
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(2, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let mut fin = BytesMut::new();
         encode(&NetFrame::Fin { stream: 2, final_seq: 1 }, &mut fin);
         rx.on_bytes(&fin).unwrap();
@@ -472,7 +478,7 @@ mod tests {
     #[test]
     fn reconnect_reannounces_cumulative_state() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let _ = control_frames(&mut rx); // acks lost with the old link
         rx.on_reconnect();
         let ctl = control_frames(&mut rx);
@@ -483,7 +489,7 @@ mod tests {
     #[test]
     fn reconnect_supersedes_pending_batched_acks() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         // Ack still batched (dirty) when the link dies: the reconnect
         // refresh must not double-stage it.
         assert!(rx.control_dirty());
@@ -523,13 +529,13 @@ mod tests {
     #[test]
     fn in_session_hello_is_ignored_but_counted() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         let mut buf = BytesMut::new();
         encode(&NetFrame::Hello { version: 1, token: 42 }, &mut buf);
         rx.on_bytes(&buf).unwrap();
         assert_eq!(rx.stats().stray_hellos, 1);
         // The session keeps working afterwards.
-        rx.on_bytes(&data_bytes(3, 2, &[Message::Point { t: 1.0, x: vec![2.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(3, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
         assert_eq!(rx.stats().frames_applied, 2);
         // But a HelloAck at the receiver is still a protocol error.
         let mut ack = BytesMut::new();
@@ -541,9 +547,9 @@ mod tests {
     fn resume_cursors_mirror_ack_and_grant_state() {
         let cfg = NetConfig { window: 64, max_frame: 1 << 20 };
         let mut rx = NetReceiver::new(FixedCodec, 1, cfg);
-        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
-        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: vec![2.0] }])).unwrap();
-        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: vec![3.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(1, 2, &[Message::Point { t: 1.0, x: [2.0].into() }])).unwrap();
+        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: [3.0].into() }])).unwrap();
         let cursors = rx.resume_cursors();
         assert_eq!(cursors.len(), 2);
         assert_eq!(cursors[0].stream, 1);
@@ -556,7 +562,7 @@ mod tests {
     #[test]
     fn reset_link_clears_without_staging() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(7, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         assert!(rx.control_dirty());
         rx.reset_link();
         assert!(!rx.control_dirty());
@@ -581,7 +587,7 @@ mod tests {
     #[test]
     fn take_staged_flushes_batched_acks_that_staged_bytes_misses() {
         let mut rx = NetReceiver::new(FixedCodec, 1, NetConfig::default());
-        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: vec![1.0] }])).unwrap();
+        rx.on_bytes(&data_bytes(4, 1, &[Message::Point { t: 0.0, x: [1.0].into() }])).unwrap();
         assert_eq!(rx.staged_bytes(), 0, "the batched ack is not in the outbox yet");
         assert!(rx.control_dirty(), "but the connection is not drained");
         let drained = rx.take_staged();

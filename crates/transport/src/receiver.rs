@@ -8,13 +8,16 @@
 //!   through a demultiplexer instead.
 //! * [`StreamDemux`] — the multi-stream endpoint: every message is applied
 //!   to the reconstruction state of the stream named by the most recent
-//!   frame header, producing one segment log per stream.
+//!   frame header, producing one segment log per stream. An incremental
+//!   consumer takes each stream's new segments with
+//!   [`drain_ready`](StreamDemux::drain_ready) instead of letting the
+//!   logs grow.
 
 use std::collections::BTreeMap;
 
 use bytes::{Buf, Bytes};
 
-use pla_core::Segment;
+use pla_core::{DimVec, Segment};
 
 use crate::wire::{Codec, Message, WireError};
 
@@ -64,12 +67,16 @@ impl From<WireError> for ReceiveError {
 /// [`StreamDemux`].
 #[derive(Debug)]
 struct Assembler {
+    /// Reconstructed segments not yet taken by
+    /// [`StreamDemux::drain_ready`].
     segments: Vec<Segment>,
+    /// Whether this stream is on its demux's ready list.
+    queued: bool,
     /// Open piece-wise-linear segment start, with its "came from an End"
     /// connectedness flag.
-    open: Option<(f64, Vec<f64>, bool)>,
+    open: Option<(f64, DimVec<f64>, bool)>,
     /// Active piece-wise-constant hold.
-    hold: Option<(f64, Vec<f64>)>,
+    hold: Option<(f64, DimVec<f64>)>,
     /// Highest time the reconstruction covers; `f64::INFINITY` while a
     /// hold or provisional line allows forward extrapolation.
     covered: f64,
@@ -81,6 +88,7 @@ impl Default for Assembler {
     fn default() -> Self {
         Self {
             segments: Vec::new(),
+            queued: false,
             open: None,
             hold: None,
             covered: f64::NEG_INFINITY,
@@ -101,14 +109,14 @@ impl Assembler {
 
     fn close_hold(&mut self, at: f64) {
         if let Some((t0, x)) = self.hold.take() {
-            self.segments.push(constant_segment(t0, at, &x));
+            self.segments.push(constant_segment(t0, at, x));
         }
     }
 
     /// Closes any active hold at the end of the stream.
     fn flush(&mut self) {
         if let Some((t0, x)) = self.hold.take() {
-            self.segments.push(constant_segment(t0, t0.max(self.covered_finite()), &x));
+            self.segments.push(constant_segment(t0, t0.max(self.covered_finite()), x));
         }
     }
 
@@ -140,9 +148,9 @@ impl Assembler {
                 }
                 self.segments.push(Segment {
                     t_start: t0,
-                    x_start: x0.into(),
+                    x_start: x0,
                     t_end: t,
-                    x_end: x.as_slice().into(),
+                    x_end: x.clone(),
                     connected,
                     n_points: 0,
                     new_recordings: if connected { 1 } else { 2 },
@@ -156,9 +164,9 @@ impl Assembler {
                 self.open = None;
                 self.segments.push(Segment {
                     t_start: t,
-                    x_start: x.as_slice().into(),
+                    x_start: x.clone(),
                     t_end: t,
-                    x_end: x.into(),
+                    x_end: x,
                     connected: false,
                     n_points: 1,
                     new_recordings: 1,
@@ -176,6 +184,15 @@ impl Assembler {
             }
         }
         Ok(())
+    }
+
+    /// Puts this stream on `ready` if it holds untaken segments and is
+    /// not listed yet.
+    fn enqueue(&mut self, stream: u64, ready: &mut Vec<u64>) {
+        if !self.queued && !self.segments.is_empty() {
+            self.queued = true;
+            ready.push(stream);
+        }
     }
 }
 
@@ -262,11 +279,11 @@ impl<C: Codec> Receiver<C> {
 /// let mut buf = BytesMut::new();
 /// for msg in [
 ///     Message::StreamFrame { stream: 7 },
-///     Message::Start { t: 0.0, x: vec![0.0] },
+///     Message::Start { t: 0.0, x: [0.0].into() },
 ///     Message::StreamFrame { stream: 9 },
-///     Message::Point { t: 0.0, x: vec![5.0] },
+///     Message::Point { t: 0.0, x: [5.0].into() },
 ///     Message::StreamFrame { stream: 7 },
-///     Message::End { t: 4.0, x: vec![8.0] },
+///     Message::End { t: 4.0, x: [8.0].into() },
 /// ] {
 ///     codec.encode(&msg, 1, &mut buf);
 /// }
@@ -275,12 +292,21 @@ impl<C: Codec> Receiver<C> {
 /// assert_eq!(demux.streams().collect::<Vec<_>>(), vec![7, 9]);
 /// assert_eq!(demux.segments(7).unwrap().len(), 1);
 /// assert_eq!(demux.segments(9).unwrap().len(), 1);
+///
+/// // An incremental consumer takes what is new, stream by stream.
+/// let mut taken = Vec::new();
+/// demux.drain_ready(|stream, segs| taken.push((stream, segs.len())));
+/// assert_eq!(taken, vec![(9, 1), (7, 1)]);
+/// assert_eq!(demux.segments(7).unwrap().len(), 0, "taken segments leave the demux");
 /// ```
 pub struct StreamDemux<C> {
     codec: C,
     dims: usize,
     current: Option<u64>,
     streams: BTreeMap<u64, Assembler>,
+    /// Streams holding untaken segments, in the order they became so;
+    /// each listed at most once (its assembler's `queued` flag).
+    ready: Vec<u64>,
     frames: u64,
     /// Per-stream next expected frame sequence number (sequenced mode,
     /// see [`consume_sequenced`](Self::consume_sequenced)). Streams only
@@ -306,6 +332,7 @@ impl<C: Codec> StreamDemux<C> {
             dims,
             current: None,
             streams: BTreeMap::new(),
+            ready: Vec::new(),
             frames: 0,
             next_seq: BTreeMap::new(),
         }
@@ -328,7 +355,10 @@ impl<C: Codec> StreamDemux<C> {
             let stream = self
                 .current
                 .ok_or(ReceiveError::Protocol("payload message before any StreamFrame"))?;
-            self.streams.get_mut(&stream).expect("current stream is registered").apply(msg)?;
+            let asm = self.streams.get_mut(&stream).expect("current stream is registered");
+            let applied = asm.apply(msg);
+            asm.enqueue(stream, &mut self.ready);
+            applied?;
         }
         Ok(())
     }
@@ -396,7 +426,10 @@ impl<C: Codec> StreamDemux<C> {
                     "sequenced frame must begin with its own StreamFrame header",
                 ));
             }
-            self.streams.get_mut(&stream).expect("header registered above").apply(msg)?;
+            let asm = self.streams.get_mut(&stream).expect("header registered above");
+            let applied = asm.apply(msg);
+            asm.enqueue(stream, &mut self.ready);
+            applied?;
         }
         if first {
             return Err(ReceiveError::Protocol("sequenced frame carries no messages"));
@@ -432,11 +465,42 @@ impl<C: Codec> StreamDemux<C> {
     pub fn flush_stream(&mut self, stream: u64) {
         if let Some(asm) = self.streams.get_mut(&stream) {
             asm.flush();
+            asm.enqueue(stream, &mut self.ready);
         }
     }
 
-    /// Segments reconstructed so far for one stream (`None` if no frame
-    /// header ever named it).
+    /// Hands every stream's untaken segments to `f`, one call per
+    /// stream in the order the streams became ready, then forgets them
+    /// (each log keeps its capacity for the next round). Streams with
+    /// nothing new are not visited, so the cost is O(ready streams),
+    /// not O(streams).
+    ///
+    /// This is how an incremental consumer moves segments out: after a
+    /// drain, [`segments`](Self::segments) and
+    /// [`into_segment_logs`](Self::into_segment_logs) report only what
+    /// was reconstructed since. The concatenation of every drained slice
+    /// and the final `into_segment_logs` is the log an undrained demux
+    /// would have produced.
+    pub fn drain_ready(&mut self, mut f: impl FnMut(u64, &[Segment])) {
+        for stream in self.ready.drain(..) {
+            let asm = self.streams.get_mut(&stream).expect("ready streams are registered");
+            asm.queued = false;
+            f(stream, &asm.segments);
+            asm.segments.clear();
+        }
+    }
+
+    /// Streams holding untaken segments, in the order
+    /// [`drain_ready`](Self::drain_ready) will visit them. No stream is
+    /// listed twice, and none is listed without segments.
+    pub fn ready_streams(&self) -> &[u64] {
+        &self.ready
+    }
+
+    /// Segments reconstructed for one stream and not yet taken by
+    /// [`drain_ready`](Self::drain_ready) — the whole log for a consumer
+    /// that never drains (`None` if no frame header ever named the
+    /// stream).
     pub fn segments(&self, stream: u64) -> Option<&[Segment]> {
         self.streams.get(&stream).map(|a| a.segments.as_slice())
     }
@@ -457,8 +521,9 @@ impl<C: Codec> StreamDemux<C> {
         self.streams.values().map(|a| a.messages).sum()
     }
 
-    /// Flushes every stream and hands back the per-stream segment logs,
-    /// ordered by stream id.
+    /// Flushes every stream and hands back each stream's segments not
+    /// yet taken by [`drain_ready`](Self::drain_ready) (the whole log for
+    /// a consumer that never drains), ordered by stream id.
     pub fn into_segment_logs(self) -> BTreeMap<u64, Vec<Segment>> {
         self.streams
             .into_iter()
@@ -470,12 +535,12 @@ impl<C: Codec> StreamDemux<C> {
     }
 }
 
-fn constant_segment(t0: f64, t1: f64, x: &[f64]) -> Segment {
+fn constant_segment(t0: f64, t1: f64, x: DimVec<f64>) -> Segment {
     Segment {
         t_start: t0,
-        x_start: x.into(),
+        x_start: x.clone(),
         t_end: t1.max(t0),
-        x_end: x.into(),
+        x_end: x,
         connected: false,
         n_points: 0,
         new_recordings: 1,
@@ -504,9 +569,9 @@ mod tests {
             .consume(encode(
                 &[
                     Message::StreamFrame { stream: 1 },
-                    Message::Hold { t: 0.0, x: vec![4.0] },
+                    Message::Hold { t: 0.0, x: [4.0].into() },
                     Message::StreamFrame { stream: 2 },
-                    Message::Hold { t: 0.0, x: vec![9.0] },
+                    Message::Hold { t: 0.0, x: [9.0].into() },
                 ],
                 1,
             ))
@@ -535,11 +600,11 @@ mod tests {
                 &[
                     // Stream 1: an open hold to flush twice.
                     Message::StreamFrame { stream: 1 },
-                    Message::Hold { t: 0.0, x: vec![4.0] },
+                    Message::Hold { t: 0.0, x: [4.0].into() },
                     // Stream 2: closed by an explicit End — no open hold.
                     Message::StreamFrame { stream: 2 },
-                    Message::Start { t: 0.0, x: vec![1.0] },
-                    Message::End { t: 3.0, x: vec![2.0] },
+                    Message::Start { t: 0.0, x: [1.0].into() },
+                    Message::End { t: 3.0, x: [2.0].into() },
                     // Stream 3: a frame header and nothing else.
                     Message::StreamFrame { stream: 3 },
                 ],
@@ -573,11 +638,11 @@ mod tests {
     fn start_end_chain_reconstructs_connected_flags() {
         let bytes = encode(
             &[
-                Message::Start { t: 0.0, x: vec![0.0] },
-                Message::End { t: 5.0, x: vec![5.0] },
-                Message::End { t: 9.0, x: vec![1.0] }, // connected
-                Message::Start { t: 10.0, x: vec![7.0] },
-                Message::End { t: 12.0, x: vec![8.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
+                Message::End { t: 5.0, x: [5.0].into() },
+                Message::End { t: 9.0, x: [1.0].into() }, // connected
+                Message::Start { t: 10.0, x: [7.0].into() },
+                Message::End { t: 12.0, x: [8.0].into() },
             ],
             1,
         );
@@ -595,7 +660,10 @@ mod tests {
     #[test]
     fn holds_close_on_next_message() {
         let bytes = encode(
-            &[Message::Hold { t: 0.0, x: vec![1.0] }, Message::Hold { t: 10.0, x: vec![2.0] }],
+            &[
+                Message::Hold { t: 0.0, x: [1.0].into() },
+                Message::Hold { t: 10.0, x: [2.0].into() },
+            ],
             1,
         );
         let mut rx = Receiver::new(FixedCodec, 1);
@@ -610,7 +678,7 @@ mod tests {
 
     #[test]
     fn end_without_start_is_protocol_error() {
-        let bytes = encode(&[Message::End { t: 1.0, x: vec![0.0] }], 1);
+        let bytes = encode(&[Message::End { t: 1.0, x: [0.0].into() }], 1);
         let mut rx = Receiver::new(FixedCodec, 1);
         assert!(matches!(rx.consume(bytes), Err(ReceiveError::Protocol(_))));
     }
@@ -619,11 +687,11 @@ mod tests {
     fn provisional_extends_coverage() {
         let bytes = encode(
             &[
-                Message::Start { t: 0.0, x: vec![0.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
                 Message::Provisional {
                     t_anchor: 0.0,
-                    x_anchor: vec![0.0],
-                    slopes: vec![1.0],
+                    x_anchor: [0.0].into(),
+                    slopes: [1.0].into(),
                     covers_through: 9.0,
                 },
             ],
@@ -638,7 +706,7 @@ mod tests {
     #[test]
     fn incremental_chunks_reassemble() {
         let all = encode(
-            &[Message::Start { t: 0.0, x: vec![0.0] }, Message::End { t: 4.0, x: vec![4.0] }],
+            &[Message::Start { t: 0.0, x: [0.0].into() }, Message::End { t: 4.0, x: [4.0].into() }],
             1,
         );
         let mut rx = Receiver::new(FixedCodec, 1);
@@ -653,7 +721,7 @@ mod tests {
     #[test]
     fn single_stream_receiver_rejects_frame_headers() {
         let bytes = encode(
-            &[Message::StreamFrame { stream: 1 }, Message::Point { t: 0.0, x: vec![1.0] }],
+            &[Message::StreamFrame { stream: 1 }, Message::Point { t: 0.0, x: [1.0].into() }],
             1,
         );
         let mut rx = Receiver::new(FixedCodec, 1);
@@ -665,14 +733,14 @@ mod tests {
         let bytes = encode(
             &[
                 Message::StreamFrame { stream: 3 },
-                Message::Start { t: 0.0, x: vec![0.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
                 Message::StreamFrame { stream: 8 },
-                Message::Hold { t: 0.0, x: vec![5.0] },
+                Message::Hold { t: 0.0, x: [5.0].into() },
                 Message::StreamFrame { stream: 3 },
-                Message::End { t: 10.0, x: vec![10.0] },
-                Message::End { t: 14.0, x: vec![6.0] }, // still stream 3: connected
+                Message::End { t: 10.0, x: [10.0].into() },
+                Message::End { t: 14.0, x: [6.0].into() }, // still stream 3: connected
                 Message::StreamFrame { stream: 8 },
-                Message::Hold { t: 20.0, x: vec![7.0] },
+                Message::Hold { t: 20.0, x: [7.0].into() },
             ],
             1,
         );
@@ -695,7 +763,7 @@ mod tests {
 
     #[test]
     fn demux_requires_a_frame_header_first() {
-        let bytes = encode(&[Message::Point { t: 0.0, x: vec![1.0] }], 1);
+        let bytes = encode(&[Message::Point { t: 0.0, x: [1.0].into() }], 1);
         let mut demux = StreamDemux::new(FixedCodec, 1);
         assert!(matches!(demux.consume(bytes), Err(ReceiveError::Protocol(_))));
     }
@@ -706,9 +774,9 @@ mod tests {
         let bytes = encode(
             &[
                 Message::StreamFrame { stream: 1 },
-                Message::Start { t: 0.0, x: vec![0.0] },
+                Message::Start { t: 0.0, x: [0.0].into() },
                 Message::StreamFrame { stream: 2 },
-                Message::End { t: 1.0, x: vec![1.0] },
+                Message::End { t: 1.0, x: [1.0].into() },
             ],
             1,
         );
@@ -729,8 +797,8 @@ mod tests {
     #[test]
     fn sequenced_frames_apply_in_order_and_drop_duplicates() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f1 = frame_bytes(5, &[Message::Start { t: 0.0, x: vec![0.0] }]);
-        let f2 = frame_bytes(5, &[Message::End { t: 4.0, x: vec![4.0] }]);
+        let f1 = frame_bytes(5, &[Message::Start { t: 0.0, x: [0.0].into() }]);
+        let f2 = frame_bytes(5, &[Message::End { t: 4.0, x: [4.0].into() }]);
         assert_eq!(demux.consume_sequenced(5, 1, f1.clone()).unwrap(), SeqOutcome::Applied);
         assert_eq!(demux.ack_point(5), 1);
         // Replay of frame 1 (e.g. after a reconnect): dropped untouched.
@@ -746,7 +814,7 @@ mod tests {
     #[test]
     fn sequence_gaps_are_typed_errors() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
-        let f = frame_bytes(9, &[Message::Point { t: 0.0, x: vec![1.0] }]);
+        let f = frame_bytes(9, &[Message::Point { t: 0.0, x: [1.0].into() }]);
         assert_eq!(
             demux.consume_sequenced(9, 3, f.clone()),
             Err(ReceiveError::SequenceGap { stream: 9, expected: 1, got: 3 })
@@ -762,13 +830,13 @@ mod tests {
     fn sequenced_frames_must_be_single_stream_and_self_labelled() {
         let mut demux = StreamDemux::new(FixedCodec, 1);
         // Payload whose header names a different stream.
-        let mislabelled = frame_bytes(8, &[Message::Point { t: 0.0, x: vec![1.0] }]);
+        let mislabelled = frame_bytes(8, &[Message::Point { t: 0.0, x: [1.0].into() }]);
         assert!(matches!(
             demux.consume_sequenced(7, 1, mislabelled),
             Err(ReceiveError::Protocol(_))
         ));
         // Payload with no leading header at all.
-        let headerless = encode(&[Message::Point { t: 0.0, x: vec![1.0] }], 1);
+        let headerless = encode(&[Message::Point { t: 0.0, x: [1.0].into() }], 1);
         assert!(matches!(
             demux.consume_sequenced(7, 1, headerless),
             Err(ReceiveError::Protocol(_))
@@ -796,9 +864,9 @@ mod tests {
             }
             buf.freeze()
         };
-        let a1 = enc_frame(1, &[Message::Start { t: 0.0, x: vec![1.0] }]);
-        let b1 = enc_frame(2, &[Message::Start { t: 0.0, x: vec![-1.0] }]);
-        let a2 = enc_frame(1, &[Message::End { t: 8.0, x: vec![3.0] }]);
+        let a1 = enc_frame(1, &[Message::Start { t: 0.0, x: [1.0].into() }]);
+        let b1 = enc_frame(2, &[Message::Start { t: 0.0, x: [-1.0].into() }]);
+        let a2 = enc_frame(1, &[Message::End { t: 8.0, x: [3.0].into() }]);
         let mut demux = StreamDemux::new(CompactCodec::new(0.01, &[0.01]), 1);
         demux.consume_sequenced(1, 1, a1.clone()).unwrap();
         demux.consume_sequenced(2, 1, b1).unwrap();
@@ -813,13 +881,13 @@ mod tests {
     fn demux_works_through_the_compact_codec() {
         let msgs = [
             Message::StreamFrame { stream: 40 },
-            Message::Start { t: 0.0, x: vec![1.0] },
+            Message::Start { t: 0.0, x: [1.0].into() },
             Message::StreamFrame { stream: 41 },
-            Message::Start { t: 0.0, x: vec![-1.0] },
+            Message::Start { t: 0.0, x: [-1.0].into() },
             Message::StreamFrame { stream: 40 },
-            Message::End { t: 8.0, x: vec![3.0] },
+            Message::End { t: 8.0, x: [3.0].into() },
             Message::StreamFrame { stream: 41 },
-            Message::End { t: 8.0, x: vec![-3.0] },
+            Message::End { t: 8.0, x: [-3.0].into() },
         ];
         let mut enc = CompactCodec::new(0.01, &[0.01]);
         let mut buf = BytesMut::new();

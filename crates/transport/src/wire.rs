@@ -24,9 +24,13 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-use pla_core::{ProvisionalUpdate, Segment};
+use pla_core::{DimVec, ProvisionalUpdate, Segment};
 
 /// One protocol message.
+///
+/// Per-dimension payloads are [`DimVec`]s: inline for `d ≤`
+/// [`INLINE_DIMS`](pla_core::INLINE_DIMS), so mapping a segment onto its
+/// messages and decoding them back stays off the heap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Constant value holds from `t` until the next message.
@@ -34,37 +38,37 @@ pub enum Message {
         /// Recording time.
         t: f64,
         /// Held value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// A disconnected segment starts here.
     Start {
         /// Recording time.
         t: f64,
         /// Segment start value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// The open segment ends here (and a connected successor may begin).
     End {
         /// Recording time.
         t: f64,
         /// Segment end value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// Degenerate single-point segment.
     Point {
         /// Recording time.
         t: f64,
         /// Value per dimension.
-        x: Vec<f64>,
+        x: DimVec<f64>,
     },
     /// Lag-bound provisional line (paper §3.3).
     Provisional {
         /// Anchor time of the committed line.
         t_anchor: f64,
         /// Anchor values per dimension.
-        x_anchor: Vec<f64>,
+        x_anchor: DimVec<f64>,
         /// Slopes per dimension.
-        slopes: Vec<f64>,
+        slopes: DimVec<f64>,
         /// Newest covered sample time at commit.
         covers_through: f64,
     },
@@ -119,14 +123,14 @@ pub fn segment_messages(seg: &Segment, mut emit: impl FnMut(Message)) {
     let degenerate = seg.t_start == seg.t_end;
     let constant = seg.x_start == seg.x_end && !seg.connected && seg.new_recordings == 1;
     if degenerate {
-        emit(Message::Point { t: seg.t_start, x: seg.x_start.to_vec() });
+        emit(Message::Point { t: seg.t_start, x: seg.x_start.clone() });
     } else if constant {
-        emit(Message::Hold { t: seg.t_start, x: seg.x_start.to_vec() });
+        emit(Message::Hold { t: seg.t_start, x: seg.x_start.clone() });
     } else {
         if !seg.connected {
-            emit(Message::Start { t: seg.t_start, x: seg.x_start.to_vec() });
+            emit(Message::Start { t: seg.t_start, x: seg.x_start.clone() });
         }
-        emit(Message::End { t: seg.t_end, x: seg.x_end.to_vec() });
+        emit(Message::End { t: seg.t_end, x: seg.x_end.clone() });
     }
 }
 
@@ -134,8 +138,8 @@ pub fn segment_messages(seg: &Segment, mut emit: impl FnMut(Message)) {
 pub fn provisional_message(update: &ProvisionalUpdate) -> Message {
     Message::Provisional {
         t_anchor: update.t_anchor,
-        x_anchor: update.x_anchor.to_vec(),
-        slopes: update.slopes.to_vec(),
+        x_anchor: update.x_anchor.clone(),
+        slopes: update.slopes.clone(),
         covers_through: update.covers_through,
     }
 }
@@ -186,11 +190,11 @@ impl FixedCodec {
         }
     }
 
-    fn get_vec(buf: &mut Bytes, n: usize) -> Result<Vec<f64>, WireError> {
+    fn get_vec(buf: &mut Bytes, n: usize) -> Result<DimVec<f64>, WireError> {
         if buf.remaining() < 8 * n {
             return Err(WireError::Truncated);
         }
-        Ok((0..n).map(|_| buf.get_f64_le()).collect())
+        Ok(DimVec::from_fn(n, |_| buf.get_f64_le()))
     }
 }
 
@@ -277,6 +281,9 @@ pub struct CompactCodec {
     /// Quantum per value dimension.
     pub x_quanta: Vec<f64>,
     prev: Vec<i64>,
+    /// Scratch for the message being coded, swapped with `prev` once it
+    /// is complete, so steady-state coding reuses both buffers.
+    next: Vec<i64>,
 }
 
 impl CompactCodec {
@@ -290,7 +297,7 @@ impl CompactCodec {
         for &q in x_quanta {
             assert!(q.is_finite() && q > 0.0, "bad value quantum");
         }
-        Self { t_quantum, x_quanta: x_quanta.to_vec(), prev: Vec::new() }
+        Self { t_quantum, x_quanta: x_quanta.to_vec(), prev: Vec::new(), next: Vec::new() }
     }
 
     fn quantize(v: f64, q: f64) -> i64 {
@@ -331,25 +338,24 @@ impl CompactCodec {
         Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
     }
 
-    /// Quantized scalars of a message, in encoding order. Frame headers
-    /// carry no quantized payload (they are encoded directly as a varint
-    /// id, bypassing the delta predictor).
-    fn scalars(&self, msg: &Message) -> Vec<i64> {
-        let qx = |x: &[f64]| -> Vec<i64> {
-            x.iter().zip(self.x_quanta.iter()).map(|(&v, &q)| Self::quantize(v, q)).collect()
+    /// Appends the quantized scalars of a message to `out`, in encoding
+    /// order. Frame headers carry no quantized payload (they are encoded
+    /// directly as a varint id, bypassing the delta predictor).
+    fn scalars(&self, msg: &Message, out: &mut Vec<i64>) {
+        let qx = |x: &[f64], out: &mut Vec<i64>| {
+            out.extend(x.iter().zip(self.x_quanta.iter()).map(|(&v, &q)| Self::quantize(v, q)));
         };
         match msg {
             Message::Hold { t, x }
             | Message::Start { t, x }
             | Message::End { t, x }
             | Message::Point { t, x } => {
-                let mut out = vec![Self::quantize(*t, self.t_quantum)];
-                out.extend(qx(x));
-                out
+                out.push(Self::quantize(*t, self.t_quantum));
+                qx(x, out);
             }
             Message::Provisional { t_anchor, x_anchor, slopes, covers_through } => {
-                let mut out = vec![Self::quantize(*t_anchor, self.t_quantum)];
-                out.extend(qx(x_anchor));
+                out.push(Self::quantize(*t_anchor, self.t_quantum));
+                qx(x_anchor, out);
                 // Slopes use the x/t quantum ratio for consistent scale.
                 out.extend(
                     slopes.iter().zip(self.x_quanta.iter()).map(|(&s, &q)| {
@@ -357,16 +363,15 @@ impl CompactCodec {
                     }),
                 );
                 out.push(Self::quantize(*covers_through, self.t_quantum));
-                out
             }
-            Message::StreamFrame { .. } => Vec::new(),
+            Message::StreamFrame { .. } => {}
         }
     }
 
     fn rebuild(&self, tag: u8, scalars: &[i64], dims: usize) -> Result<Message, WireError> {
         let t = scalars[0] as f64 * self.t_quantum;
-        let dx = |offset: usize| -> Vec<f64> {
-            (0..dims).map(|d| scalars[offset + d] as f64 * self.x_quanta[d]).collect()
+        let dx = |offset: usize| -> DimVec<f64> {
+            DimVec::from_fn(dims, |d| scalars[offset + d] as f64 * self.x_quanta[d])
         };
         Ok(match tag {
             0 => Message::Hold { t, x: dx(1) },
@@ -374,12 +379,10 @@ impl CompactCodec {
             2 => Message::End { t, x: dx(1) },
             3 => Message::Point { t, x: dx(1) },
             4 => {
-                let slopes = (0..dims)
-                    .map(|d| {
-                        scalars[1 + dims + d] as f64
-                            * (self.x_quanta[d] / self.t_quantum.max(f64::MIN_POSITIVE))
-                    })
-                    .collect();
+                let slopes = DimVec::from_fn(dims, |d| {
+                    scalars[1 + dims + d] as f64
+                        * (self.x_quanta[d] / self.t_quantum.max(f64::MIN_POSITIVE))
+                });
                 Message::Provisional {
                     t_anchor: t,
                     x_anchor: dx(1),
@@ -403,12 +406,14 @@ impl Codec for CompactCodec {
             Self::put_varint(out, *stream as i64);
             return out.len() - before;
         }
-        let scalars = self.scalars(msg);
+        let mut scalars = std::mem::take(&mut self.next);
+        scalars.clear();
+        self.scalars(msg, &mut scalars);
         for (i, &s) in scalars.iter().enumerate() {
             let pred = self.prev.get(i).copied().unwrap_or(0);
             Self::put_varint(out, s.wrapping_sub(pred));
         }
-        self.prev = scalars;
+        self.next = std::mem::replace(&mut self.prev, scalars);
         out.len() - before
     }
 
@@ -425,13 +430,14 @@ impl Codec for CompactCodec {
             4 => 2 + 2 * dims,
             other => return Err(WireError::BadTag(other)),
         };
-        let mut scalars = Vec::with_capacity(count);
+        let mut scalars = std::mem::take(&mut self.next);
+        scalars.clear();
         for i in 0..count {
             let pred = self.prev.get(i).copied().unwrap_or(0);
             scalars.push(pred.wrapping_add(Self::get_varint(buf)?));
         }
         let msg = self.rebuild(tag, &scalars, dims)?;
-        self.prev = scalars;
+        self.next = std::mem::replace(&mut self.prev, scalars);
         Ok(msg)
     }
 
@@ -447,16 +453,16 @@ mod tests {
     fn sample_messages() -> Vec<Message> {
         vec![
             Message::StreamFrame { stream: 42 },
-            Message::Start { t: 0.0, x: vec![1.5, -2.0] },
-            Message::End { t: 10.0, x: vec![2.5, -1.0] },
+            Message::Start { t: 0.0, x: [1.5, -2.0].into() },
+            Message::End { t: 10.0, x: [2.5, -1.0].into() },
             Message::StreamFrame { stream: u64::MAX },
-            Message::End { t: 20.0, x: vec![3.5, 0.5] },
-            Message::Hold { t: 30.0, x: vec![3.5, 0.5] },
-            Message::Point { t: 41.0, x: vec![9.0, 9.0] },
+            Message::End { t: 20.0, x: [3.5, 0.5].into() },
+            Message::Hold { t: 30.0, x: [3.5, 0.5].into() },
+            Message::Point { t: 41.0, x: [9.0, 9.0].into() },
             Message::Provisional {
                 t_anchor: 41.0,
-                x_anchor: vec![9.0, 9.0],
-                slopes: vec![0.5, -0.25],
+                x_anchor: [9.0, 9.0].into(),
+                slopes: [0.5, -0.25].into(),
                 covers_through: 50.0,
             },
         ]
@@ -517,7 +523,7 @@ mod tests {
     #[test]
     fn compact_is_smaller_than_fixed_on_smooth_streams() {
         let msgs: Vec<Message> = (0..100)
-            .map(|i| Message::End { t: i as f64, x: vec![20.0 + (i % 5) as f64 * 0.01] })
+            .map(|i| Message::End { t: i as f64, x: [20.0 + (i % 5) as f64 * 0.01].into() })
             .collect();
         let mut fixed = FixedCodec;
         let mut compact = CompactCodec::new(0.001, &[0.001]);
@@ -549,7 +555,7 @@ mod tests {
     fn truncated_input_is_reported() {
         let mut codec = FixedCodec;
         let mut buf = BytesMut::new();
-        codec.encode(&Message::End { t: 1.0, x: vec![2.0] }, 1, &mut buf);
+        codec.encode(&Message::End { t: 1.0, x: [2.0].into() }, 1, &mut buf);
         let mut short = buf.freeze().slice(0..5);
         assert_eq!(codec.decode(&mut short, 1), Err(WireError::Truncated));
     }
@@ -563,12 +569,12 @@ mod tests {
 
     #[test]
     fn scalar_count_matches_payload() {
-        assert_eq!(Message::End { t: 0.0, x: vec![0.0; 3] }.scalar_count(), 4);
+        assert_eq!(Message::End { t: 0.0, x: [0.0; 3].into() }.scalar_count(), 4);
         assert_eq!(
             Message::Provisional {
                 t_anchor: 0.0,
-                x_anchor: vec![0.0; 3],
-                slopes: vec![0.0; 3],
+                x_anchor: [0.0; 3].into(),
+                slopes: [0.0; 3].into(),
                 covers_through: 0.0
             }
             .scalar_count(),

@@ -3,10 +3,13 @@
 //! in any order, replaying frames after reconnects, truncating the tail
 //! — the demultiplexer must either reconstruct per-stream segment logs
 //! *identical* to single-stream reconstruction, or fail with a typed
-//! error. It must never panic and never silently corrupt a log.
+//! error. It must never panic and never silently corrupt a log. Taking
+//! segments out incrementally (`drain_ready`) must not change what a
+//! consumer ends up with either.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseResult;
 
 use pla_transport::wire::{Codec, FixedCodec, Message};
 use pla_transport::{ReceiveError, Receiver, SeqOutcome, StreamDemux};
@@ -46,23 +49,23 @@ fn lower(ops: &[Op]) -> Vec<Message> {
     for &op in ops {
         match op {
             Op::Hold(v) => {
-                out.push(Message::Hold { t: next_t(), x: vec![v] });
+                out.push(Message::Hold { t: next_t(), x: [v].into() });
                 chain_open = false;
             }
             Op::Point(v) => {
-                out.push(Message::Point { t: next_t(), x: vec![v] });
+                out.push(Message::Point { t: next_t(), x: [v].into() });
                 chain_open = false;
             }
             Op::Segment(a, b) => {
-                out.push(Message::Start { t: next_t(), x: vec![a] });
-                out.push(Message::End { t: next_t(), x: vec![b] });
+                out.push(Message::Start { t: next_t(), x: [a].into() });
+                out.push(Message::End { t: next_t(), x: [b].into() });
                 chain_open = true;
             }
             Op::Extend(v) => {
                 if !chain_open {
-                    out.push(Message::Start { t: next_t(), x: vec![v - 1.0] });
+                    out.push(Message::Start { t: next_t(), x: [v - 1.0].into() });
                 }
-                out.push(Message::End { t: next_t(), x: vec![v] });
+                out.push(Message::End { t: next_t(), x: [v].into() });
                 chain_open = true;
             }
         }
@@ -255,4 +258,146 @@ proptest! {
             );
         }
     }
+
+    /// Draining at arbitrary points — between sequenced frames, replays
+    /// and mid-stream flushes, or between plain `consume` chunks — hands
+    /// out exactly the log an undrained twin keeps: per stream, the
+    /// drained slices followed by the final `into_segment_logs` equal
+    /// the twin's log. Throughout, the ready list names each stream at
+    /// most once, never a stream without untaken segments, and every
+    /// stream that has some.
+    #[test]
+    fn drained_slices_concatenate_to_the_undrained_logs(
+        streams in streams_strategy(),
+        chop in prop::collection::vec(1usize..4, 1..40),
+        actions in prop::collection::vec(action_strategy(), 0..80),
+        plain in any::<bool>(),
+    ) {
+        // Per stream, its sequenced frames in order.
+        let frames: Vec<Vec<Bytes>> = streams
+            .iter()
+            .enumerate()
+            .map(|(id, msgs)| {
+                let mut chop = chop.iter().cycle();
+                let mut out = Vec::new();
+                let mut i = 0;
+                while i < msgs.len() {
+                    let take = (*chop.next().expect("cycled")).min(msgs.len() - i);
+                    let mut codec = FixedCodec;
+                    let mut buf = BytesMut::new();
+                    codec.encode(&Message::StreamFrame { stream: id as u64 }, 1, &mut buf);
+                    for m in &msgs[i..i + take] {
+                        codec.encode(m, 1, &mut buf);
+                    }
+                    out.push(buf.freeze());
+                    i += take;
+                }
+                out
+            })
+            .collect();
+        let mut drained_demux = StreamDemux::new(FixedCodec, 1);
+        let mut twin = StreamDemux::new(FixedCodec, 1);
+        let mut drained: std::collections::BTreeMap<u64, Vec<pla_core::Segment>> =
+            std::collections::BTreeMap::new();
+        let mut next = vec![0usize; frames.len()];
+        let deliver = |demux: &mut StreamDemux<FixedCodec>, stream: usize, idx: usize| {
+            let bytes = frames[stream][idx].clone();
+            if plain {
+                demux.consume(bytes).expect("valid frame");
+            } else {
+                demux.consume_sequenced(stream as u64, idx as u64 + 1, bytes).expect("valid frame");
+            }
+        };
+        let check_ready = |demux: &StreamDemux<FixedCodec>| -> TestCaseResult {
+            let ready = demux.ready_streams();
+            let mut seen = std::collections::BTreeSet::new();
+            for &stream in ready {
+                prop_assert!(seen.insert(stream), "stream {} listed twice: {:?}", stream, ready);
+                prop_assert!(
+                    !demux.segments(stream).unwrap_or(&[]).is_empty(),
+                    "stream {} listed without untaken segments",
+                    stream
+                );
+            }
+            for stream in demux.streams() {
+                let pending = !demux.segments(stream).expect("known stream").is_empty();
+                prop_assert_eq!(pending, seen.contains(&stream), "stream {} ready state", stream);
+            }
+            Ok(())
+        };
+        // Run the scripted actions, then deliver whatever is left.
+        let tail = (0..frames.len())
+            .flat_map(|s| std::iter::repeat_n(Action::Deliver(s), frames[s].len()));
+        for action in actions.into_iter().chain(tail) {
+            match action {
+                Action::Deliver(pick) => {
+                    let stream = pick % frames.len();
+                    if next[stream] < frames[stream].len() {
+                        deliver(&mut drained_demux, stream, next[stream]);
+                        deliver(&mut twin, stream, next[stream]);
+                        next[stream] += 1;
+                    }
+                }
+                Action::Replay(pick, back) => {
+                    let stream = pick % frames.len();
+                    if !plain && next[stream] > 0 {
+                        let idx = next[stream] - 1 - back % next[stream];
+                        let bytes = frames[stream][idx].clone();
+                        let seq = idx as u64 + 1;
+                        let outcome = drained_demux
+                            .consume_sequenced(stream as u64, seq, bytes.clone())
+                            .expect("replay of a delivered frame");
+                        prop_assert_eq!(outcome, SeqOutcome::Duplicate);
+                        twin.consume_sequenced(stream as u64, seq, bytes).expect("replay");
+                    }
+                }
+                Action::Flush(pick) => {
+                    let stream = (pick % frames.len()) as u64;
+                    drained_demux.flush_stream(stream);
+                    twin.flush_stream(stream);
+                }
+                Action::Drain => {
+                    drained_demux.drain_ready(|stream, segs| {
+                        drained.entry(stream).or_default().extend_from_slice(segs);
+                    });
+                    prop_assert!(drained_demux.ready_streams().is_empty());
+                }
+            }
+            check_ready(&drained_demux)?;
+        }
+        let want = twin.into_segment_logs();
+        let rest = drained_demux.into_segment_logs();
+        prop_assert_eq!(rest.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>());
+        for (stream, log) in want {
+            let mut got = drained.remove(&stream).unwrap_or_default();
+            got.extend_from_slice(&rest[&stream]);
+            prop_assert_eq!(got, log, "stream {} diverged from its undrained twin", stream);
+        }
+        prop_assert!(drained.is_empty(), "segments drained for unknown streams: {:?}", drained);
+    }
+}
+
+/// One step of the drain proptest's script.
+#[derive(Debug, Clone, Copy)]
+enum Action {
+    /// Deliver the next frame of stream `pick % streams`.
+    Deliver(usize),
+    /// Replay an already-delivered frame of stream `pick % streams`
+    /// (sequenced mode only), `back` frames behind the newest.
+    Replay(usize, usize),
+    /// `flush_stream` on stream `pick % streams`, complete or not.
+    Flush(usize),
+    /// Take every ready stream's untaken segments.
+    Drain,
+}
+
+fn action_strategy() -> impl Strategy<Value = Action> {
+    // Deliveries listed twice: twice as likely as any other action.
+    prop_oneof![
+        (0usize..8).prop_map(Action::Deliver),
+        (0usize..8).prop_map(Action::Deliver),
+        (0usize..8, 0usize..8).prop_map(|(p, b)| Action::Replay(p, b)),
+        (0usize..8).prop_map(Action::Flush),
+        Just(Action::Drain),
+    ]
 }
