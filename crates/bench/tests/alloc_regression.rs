@@ -10,8 +10,9 @@
 //! is pinned the same way: free on a quiet store, and costing the same
 //! whatever the number of streams that did not grow. The wire→store
 //! path gets a per-segment budget rather than zero (a frame is copied
-//! once for replay and once out of the decoder), and the same count
-//! whatever the number of idle streams.
+//! once for replay and once out of the decoder), one for single-segment
+//! frames and a tighter one for frames carrying a run of segments, and
+//! the same count whatever the number of idle streams.
 //!
 //! Requires the counting global allocator:
 //!
@@ -269,12 +270,14 @@ fn wire_segment(k: usize) -> Segment {
 
 /// Heap allocations per segment on the wire→store path at `streams`
 /// d = 1 streams: `SessionSender` → memory link → session-mode
-/// `Collector` → `SegmentStore`, all on this thread, pumping after every
-/// 5 segments. Segments go round-robin, so every stream receives the
-/// same number in the warm-up and in the measured window — whatever the
-/// stream count, each stream's buffers are in the same phase of growth
-/// and its store log seals exactly once per window.
-fn wire_to_store_allocs_per_segment(streams: u64) -> f64 {
+/// `Collector` → `SegmentStore`, all on this thread. Each `Data` frame
+/// carries a run of `run` consecutive segments of one stream, and the
+/// pumps run after every `pump_every` frames. Frames go round-robin, so
+/// every stream receives the same number in the warm-up and in the
+/// measured window — whatever the stream count, each stream's buffers
+/// are in the same phase of growth and its store log seals exactly once
+/// per window.
+fn wire_to_store_allocs_per_segment(streams: u64, run: usize, pump_every: usize) -> f64 {
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -284,7 +287,7 @@ fn wire_to_store_allocs_per_segment(streams: u64) -> f64 {
     use pla_transport::wire::FixedCodec;
 
     const PER_STREAM: usize = 64;
-    const PUMP_EVERY: usize = 5;
+    assert!(PER_STREAM.is_multiple_of(run), "whole runs per window");
     let cfg = NetConfig::default();
     let sess = SessionConfig::default();
     let store = Arc::new(SegmentStore::new());
@@ -309,25 +312,29 @@ fn wire_to_store_allocs_per_segment(streams: u64) -> f64 {
     }
     assert!(tx.is_established(), "the session handshake completed");
 
-    let mut sent = 0usize;
+    let mut frames = 0usize;
+    let mut segs: Vec<Segment> = Vec::with_capacity(run);
     let mut send_round = |tx: &mut Tx, collector: &mut Coll| {
         for _ in 0..streams {
-            let stream = sent as u64 % streams;
-            let k = sent / streams as usize;
-            tx.mux_mut().try_send_segment(stream, &wire_segment(k)).expect("credit suffices");
-            sent += 1;
-            if sent.is_multiple_of(PUMP_EVERY) {
+            let stream = frames as u64 % streams;
+            let k0 = frames / streams as usize * run;
+            segs.clear();
+            segs.extend((k0..k0 + run).map(wire_segment));
+            let sent = tx.mux_mut().try_send_segments(stream, &segs);
+            assert_eq!(sent, Ok(run), "credit suffices for a whole run");
+            frames += 1;
+            if frames.is_multiple_of(pump_every) {
                 pump(tx, collector);
             }
         }
     };
-    for _ in 0..PER_STREAM {
+    for _ in 0..PER_STREAM / run {
         send_round(&mut tx, &mut collector);
     }
     pump(&mut tx, &mut collector);
     let before = store.total_segments();
     let (_, allocs) = alloc_counter::count(|| {
-        for _ in 0..PER_STREAM {
+        for _ in 0..PER_STREAM / run {
             send_round(&mut tx, &mut collector);
         }
     });
@@ -346,7 +353,7 @@ fn wire_to_store_allocs_per_segment(streams: u64) -> f64 {
 fn wire_to_store_allocations_are_bounded_and_independent_of_idle_streams() {
     let _guard = serial();
     let at = |streams| {
-        let per_segment = wire_to_store_allocs_per_segment(streams);
+        let per_segment = wire_to_store_allocs_per_segment(streams, 1, 5);
         eprintln!("wire→store at {streams} streams: {per_segment:.3} allocations per segment");
         per_segment
     };
@@ -359,6 +366,32 @@ fn wire_to_store_allocations_are_bounded_and_independent_of_idle_streams() {
         mid <= 3.0,
         "{mid:.2} allocations per segment at 256 streams — the wire→store path \
          regressed past its budget of 3"
+    );
+    for (streams, other) in [(64, small), (1024, large)] {
+        assert!(
+            (other - mid).abs() <= 0.1,
+            "{other:.2} allocations per segment at {streams} streams but {mid:.2} at 256: \
+             the path must not allocate for streams that carry nothing new"
+        );
+    }
+}
+
+#[test]
+fn batched_wire_to_store_allocations_are_bounded_and_independent_of_idle_streams() {
+    let _guard = serial();
+    let at = |streams| {
+        let per_segment = wire_to_store_allocs_per_segment(streams, 4, 1);
+        eprintln!("wire→store, 4-segment runs, at {streams} streams: {per_segment:.3} allocations per segment");
+        per_segment
+    };
+    let (small, mid, large) = (at(64), at(256), at(1024));
+    // A run of 4 segments pays the two per-frame copies once: the
+    // sender's replay copy and the decoder's owned payload amortize to
+    // half an allocation per segment, pumping after every frame.
+    assert!(
+        mid <= 1.0,
+        "{mid:.2} allocations per segment at 256 streams with 4-segment frames — the \
+         batched wire→store path regressed past its budget of 1"
     );
     for (streams, other) in [(64, small), (1024, large)] {
         assert!(

@@ -173,6 +173,11 @@ const KIND_QUERY_RESP: u8 = 9;
 const KIND_EPOCHS_REQ: u8 = 10;
 const KIND_EPOCHS_RESP: u8 = 11;
 
+/// Bytes a `Data` frame's length prefix counts beyond its payload: the
+/// kind byte, the stream id and the sequence number. A payload fits a
+/// decoder's `max_frame` iff it is at most `max_frame − DATA_OVERHEAD`.
+pub(crate) const DATA_OVERHEAD: u32 = 1 + 8 + 8;
+
 /// Bytes per [`ResumeCursor`] in a `HelloAck` body.
 const CURSOR_BYTES: usize = 24;
 
@@ -216,7 +221,7 @@ fn put_u32_le(out: &mut BytesMut, n: u32) {
 /// here, so there is one `Data` encoder.
 pub fn encode_data(stream: u64, seq: u64, payload: &[u8], out: &mut BytesMut) -> usize {
     let before = out.len();
-    put_u32_le(out, (1 + 16 + payload.len()) as u32);
+    put_u32_le(out, (DATA_OVERHEAD as usize + payload.len()) as u32);
     out.put_u8(KIND_DATA);
     out.put_u64_le(stream);
     out.put_u64_le(seq);

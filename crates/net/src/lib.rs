@@ -16,8 +16,9 @@
 //!   `std::net::TcpStream`).
 //! * [`frame`] — length-delimited net frames (`Data`/`Ack`/`Credit`/
 //!   `Fin`) wrapping `pla-transport`'s wire encoding; each `Data` frame
-//!   carries one stream's messages behind its `StreamFrame` header, plus
-//!   a per-stream sequence number.
+//!   carries a *run* of one stream's messages — one or more consecutive
+//!   segments ([`MuxSender::try_send_segments`]) — behind its
+//!   `StreamFrame` header, plus a per-stream sequence number.
 //! * [`credit`] — cumulative-offset per-stream flow control (the QUIC
 //!   `MAX_STREAM_DATA` shape): the receiver grants an absolute byte
 //!   budget per stream, the sender never exceeds it, and a saturated

@@ -2,7 +2,8 @@
 //! byte stream, with per-stream credit and replayable delivery.
 //!
 //! [`MuxSender`] is *sans-I/O*: segments go in
-//! ([`try_send_segment`](MuxSender::try_send_segment)), framed bytes
+//! ([`try_send_segments`](MuxSender::try_send_segments), one frame per
+//! run of a stream's consecutive segments), framed bytes
 //! come out ([`take_staged`](MuxSender::take_staged) or the pump
 //! functions in [`driver`](crate::driver)), and inbound control bytes
 //! are fed back with [`on_bytes`](MuxSender::on_bytes). Nothing here
@@ -17,7 +18,9 @@ use pla_core::{ProvisionalUpdate, Segment};
 use pla_transport::wire::{provisional_message, segment_messages, Codec, Message};
 
 use crate::credit::CreditWindow;
-use crate::frame::{encode, encode_data, FrameDecoder, NetFrame, Outbox, ResumeCursor};
+use crate::frame::{
+    encode, encode_data, FrameDecoder, NetFrame, Outbox, ResumeCursor, DATA_OVERHEAD,
+};
 use crate::{NetConfig, NetError};
 
 /// Per-stream sender state.
@@ -48,34 +51,69 @@ pub struct SendStreamStats {
     pub finished: bool,
 }
 
+/// Builds `Data` frames. Split from the stream map so a send can hold a
+/// stream's entry and the encoder at once: one map lookup per frame.
+struct FrameBuilder<C: Codec> {
+    codec: C,
+    dims: usize,
+    /// Codec bytes of the frame being built. Cleared, never split, so
+    /// its capacity carries over from frame to frame.
+    payload: BytesMut,
+    /// The encoded `Data`/`Fin` frame being staged; reused the same way.
+    frame: BytesMut,
+}
+
+impl<C: Codec> FrameBuilder<C> {
+    /// Starts `stream`'s next payload with its `StreamFrame` header.
+    /// Each frame is a self-contained codec unit (reset first), led by
+    /// the stream's own header — the contract
+    /// `StreamDemux::consume_sequenced` enforces.
+    fn begin(&mut self, stream: u64) {
+        self.payload.clear();
+        self.codec.reset();
+        self.codec.encode(&Message::StreamFrame { stream }, self.dims, &mut self.payload);
+    }
+
+    fn push(&mut self, msg: &Message) {
+        self.codec.encode(msg, self.dims, &mut self.payload);
+    }
+
+    /// Seals the payload as `entry`'s next sequenced `Data` frame:
+    /// reserves its credit, stages it on `out`, and retains it for
+    /// replay. The caller has checked that the credit covers it.
+    ///
+    /// One allocation per frame: the replay copy. Both buffers keep
+    /// their capacity across frames.
+    fn seal(&mut self, stream: u64, entry: &mut SendStream, out: &mut Outbox) {
+        let reserved = entry.credit.try_reserve(self.payload.len() as u64);
+        assert!(reserved, "the caller checked the credit");
+        entry.last_seq += 1;
+        self.frame.clear();
+        encode_data(stream, entry.last_seq, &self.payload, &mut self.frame);
+        out.stage(&self.frame);
+        entry.unacked.push_back((entry.last_seq, Bytes::copy_from_slice(&self.frame)));
+    }
+}
+
 /// The multiplexing sender. See the [crate docs](crate) for the
 /// protocol and the module docs for the sans-I/O shape.
 pub struct MuxSender<C: Codec> {
-    codec: C,
-    dims: usize,
     config: NetConfig,
     streams: BTreeMap<u64, SendStream>,
     out: Outbox,
     frames_in: FrameDecoder,
-    /// Codec bytes of the frame being built. Cleared, never split, so
-    /// its capacity carries over from frame to frame.
-    scratch: BytesMut,
-    /// The encoded `Data`/`Fin` frame being staged; reused the same way.
-    frame_scratch: BytesMut,
+    build: FrameBuilder<C>,
 }
 
 impl<C: Codec> MuxSender<C> {
     /// Creates a sender for `dims`-dimensional streams.
     pub fn new(codec: C, dims: usize, config: NetConfig) -> Self {
         Self {
-            codec,
-            dims,
             config,
             streams: BTreeMap::new(),
             out: Outbox::default(),
             frames_in: FrameDecoder::new(config.max_frame),
-            scratch: BytesMut::new(),
-            frame_scratch: BytesMut::new(),
+            build: FrameBuilder { codec, dims, payload: BytesMut::new(), frame: BytesMut::new() },
         }
     }
 
@@ -93,67 +131,66 @@ impl<C: Codec> MuxSender<C> {
         })
     }
 
-    /// Encodes `msgs` as one sequenced `Data` frame for `stream`,
-    /// stages it, and retains it for replay. The credit check happens
-    /// *before* anything is staged, so a refused send leaves no trace.
-    ///
-    /// One map lookup, and one allocation per frame: the replay copy.
-    /// Both scratch buffers keep their capacity across frames.
-    fn try_send_messages<'a>(
-        &mut self,
-        stream: u64,
-        msgs: impl IntoIterator<Item = &'a Message>,
-    ) -> Result<(), NetError> {
-        let entry = Self::stream_entry(&mut self.streams, self.config.window, stream);
-        if entry.finished {
-            return Err(NetError::Finished(stream));
-        }
-        // Each frame is a self-contained codec unit (reset first), led
-        // by the stream's own header — the contract
-        // `StreamDemux::consume_sequenced` enforces.
-        self.scratch.clear();
-        self.codec.reset();
-        self.codec.encode(&Message::StreamFrame { stream }, self.dims, &mut self.scratch);
-        for m in msgs {
-            self.codec.encode(m, self.dims, &mut self.scratch);
-        }
-        if !entry.credit.try_reserve(self.scratch.len() as u64) {
-            return Err(NetError::Backpressure);
-        }
-        entry.last_seq += 1;
-        self.frame_scratch.clear();
-        encode_data(stream, entry.last_seq, &self.scratch, &mut self.frame_scratch);
-        self.out.stage(&self.frame_scratch);
-        entry.unacked.push_back((entry.last_seq, Bytes::copy_from_slice(&self.frame_scratch)));
-        Ok(())
-    }
-
-    /// Sends one finalized segment on `stream`.
+    /// Sends the longest prefix of `segs` — consecutive finalized
+    /// segments of `stream` — that fits one sequenced `Data` frame, and
+    /// returns how many segments went.
     ///
     /// The segment→message mapping is
     /// [`wire::segment_messages`](pla_transport::wire::segment_messages)
     /// — the same one the point-to-point
     /// [`Transmitter`](pla_transport::Transmitter) uses — so the far
     /// side's reconstruction is identical to a direct single-stream
-    /// link.
+    /// link, however a stream's segments are split into frames.
+    ///
+    /// The frame stops before the first segment that would overrun the
+    /// stream's available credit or the frame cap (a payload of at most
+    /// `max_frame − 17` bytes, so a `window > max_frame` configuration
+    /// never yields a frame the peer rejects as oversized). Only credit
+    /// refuses a first segment: one larger than the cap on its own goes
+    /// alone, since no split could carry it. Credit is reserved, and a
+    /// sequence number, a replay copy and an outbox stage are spent,
+    /// once per frame rather than once per segment.
     ///
     /// # Errors
     ///
     /// [`NetError::Backpressure`] when the stream's credit window cannot
-    /// cover the encoded payload: nothing is sent, and the caller
+    /// cover even the first segment: nothing is sent, and the caller
     /// retries after the receiver grants more (or sheds load). This is
     /// the same contract as `pla_ingest::IngestHandle::try_push`.
+    /// [`NetError::Finished`] once the stream was finished.
+    pub fn try_send_segments(&mut self, stream: u64, segs: &[Segment]) -> Result<usize, NetError> {
+        let cap = u64::from(self.config.max_frame.saturating_sub(DATA_OVERHEAD));
+        let entry = Self::stream_entry(&mut self.streams, self.config.window, stream);
+        if entry.finished {
+            return Err(NetError::Finished(stream));
+        }
+        let credit = entry.credit.available();
+        let build = &mut self.build;
+        build.begin(stream);
+        let mut sent = 0;
+        for seg in segs {
+            let whole = build.payload.len();
+            segment_messages(seg, |m| build.push(&m));
+            let len = build.payload.len() as u64;
+            if len > credit || (sent > 0 && len > cap) {
+                // Trim back to the last whole segment; the codec state
+                // past it dies with the next frame's reset.
+                build.payload.truncate(whole);
+                break;
+            }
+            sent += 1;
+        }
+        if sent == 0 {
+            return Err(NetError::Backpressure);
+        }
+        build.seal(stream, entry, &mut self.out);
+        Ok(sent)
+    }
+
+    /// Sends one finalized segment on `stream` as its own frame; see
+    /// [`try_send_segments`](Self::try_send_segments).
     pub fn try_send_segment(&mut self, stream: u64, seg: &Segment) -> Result<(), NetError> {
-        // At most two messages per segment, staged on the stack — the
-        // send path stays off the heap (beyond the payload buffer
-        // itself), matching the workspace's hot-path discipline.
-        let mut msgs: [Option<Message>; 2] = [None, None];
-        let mut n = 0;
-        segment_messages(seg, |m| {
-            msgs[n] = Some(m);
-            n += 1;
-        });
-        self.try_send_messages(stream, msgs.iter().flatten())
+        self.try_send_segments(stream, std::slice::from_ref(seg)).map(drop)
     }
 
     /// Sends a provisional (lag-bound) update on `stream`.
@@ -162,7 +199,17 @@ impl<C: Codec> MuxSender<C> {
         stream: u64,
         update: &ProvisionalUpdate,
     ) -> Result<(), NetError> {
-        self.try_send_messages(stream, &[provisional_message(update)])
+        let entry = Self::stream_entry(&mut self.streams, self.config.window, stream);
+        if entry.finished {
+            return Err(NetError::Finished(stream));
+        }
+        self.build.begin(stream);
+        self.build.push(&provisional_message(update));
+        if self.build.payload.len() as u64 > entry.credit.available() {
+            return Err(NetError::Backpressure);
+        }
+        self.build.seal(stream, entry, &mut self.out);
+        Ok(())
     }
 
     /// Marks `stream` complete and stages its `Fin` frame. Further
@@ -175,9 +222,9 @@ impl<C: Codec> MuxSender<C> {
         }
         entry.finished = true;
         let fin = NetFrame::Fin { stream, final_seq: entry.last_seq };
-        self.frame_scratch.clear();
-        encode(&fin, &mut self.frame_scratch);
-        self.out.stage(&self.frame_scratch);
+        self.build.frame.clear();
+        encode(&fin, &mut self.build.frame);
+        self.out.stage(&self.build.frame);
         Ok(())
     }
 
@@ -439,8 +486,13 @@ mod tests {
         let staged_before = tx.staged_bytes();
         let frames_before = tx.stream_stats(1).unwrap().frames;
         assert_eq!(tx.try_send_segment(1, &seg(6.0, 0.0, 9.0, 1.0)), Err(NetError::Backpressure));
+        // A run whose first segment does not fit is refused whole.
+        assert_eq!(tx.try_send_segments(1, &run(3)), Err(NetError::Backpressure));
         assert_eq!(tx.staged_bytes(), staged_before, "refused send stages nothing");
-        assert_eq!(tx.stream_stats(1).unwrap().frames, frames_before, "no seq burned");
+        let s = tx.stream_stats(1).unwrap();
+        assert_eq!(s.frames, frames_before, "no seq burned");
+        assert_eq!(s.credit_available, 64 - 43, "no credit used");
+        assert_eq!(s.unacked, 1, "nothing retained");
         // A credit grant unblocks it.
         let mut grant = BytesMut::new();
         encode(&NetFrame::Credit { stream: 1, granted_total: 1024 }, &mut grant);
@@ -543,6 +595,7 @@ mod tests {
         tx.finish_stream(1).unwrap();
         tx.finish_stream(1).unwrap(); // idempotent
         assert_eq!(tx.try_send_segment(1, &seg(2.0, 0.0, 3.0, 1.0)), Err(NetError::Finished(1)));
+        assert_eq!(tx.try_send_segments(1, &run(2)), Err(NetError::Finished(1)));
     }
 
     #[test]
@@ -575,5 +628,71 @@ mod tests {
         let mut buf = BytesMut::new();
         encode(&NetFrame::Data { stream: 1, seq: 1, payload: Bytes::from_static(b"x") }, &mut buf);
         assert!(matches!(tx.on_bytes(&buf), Err(NetError::UnexpectedFrame(_))));
+    }
+
+    /// `n` disconnected 1-D segments; each costs 34 payload bytes
+    /// (`Start` + `End`) behind the 9-byte `StreamFrame` header.
+    fn run(n: usize) -> Vec<Segment> {
+        (0..n).map(|i| seg(i as f64 * 10.0, i as f64, i as f64 * 10.0 + 5.0, -(i as f64))).collect()
+    }
+
+    fn endpoints(segs: &[Segment]) -> Vec<(f64, f64, f64, f64, bool)> {
+        segs.iter().map(|s| (s.t_start, s.x_start[0], s.t_end, s.x_end[0], s.connected)).collect()
+    }
+
+    #[test]
+    fn a_whole_run_becomes_one_frame() {
+        let mut tx = sender();
+        let mut rx = crate::NetReceiver::new(FixedCodec, 1, NetConfig::default());
+        let segs = run(7);
+        assert_eq!(tx.try_send_segments(3, &segs[..5]), Ok(5));
+        let s = tx.stream_stats(3).unwrap();
+        assert_eq!((s.frames, s.unacked), (1, 1), "one seq and one replay copy for the run");
+        assert_eq!(tx.try_send_segments(3, &segs[5..]), Ok(2));
+        assert_eq!(tx.stream_stats(3).unwrap().frames, 2, "last_seq rises by one per frame");
+        rx.on_bytes(&tx.take_staged()).unwrap();
+        assert_eq!(rx.stats().frames_applied, 2);
+        let logs = rx.into_demux().into_segment_logs();
+        assert_eq!(endpoints(&logs[&3]), endpoints(&segs));
+    }
+
+    #[test]
+    fn a_credit_limited_run_sends_its_longest_fitting_prefix() {
+        // Room for the header and exactly three segments.
+        let cfg = NetConfig { window: 9 + 3 * 34, max_frame: 1 << 20 };
+        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+        let mut rx = crate::NetReceiver::new(FixedCodec, 1, cfg);
+        let segs = run(5);
+        assert_eq!(tx.try_send_segments(1, &segs), Ok(3));
+        assert_eq!(tx.stream_stats(1).unwrap().credit_available, 0);
+        assert_eq!(tx.try_send_segments(1, &segs[3..]), Err(NetError::Backpressure));
+        // The receiver's grant makes room for the rest.
+        rx.on_bytes(&tx.take_staged()).unwrap();
+        tx.on_bytes(&rx.take_staged()).unwrap();
+        assert_eq!(tx.try_send_segments(1, &segs[3..]), Ok(2));
+        assert_eq!(tx.stream_stats(1).unwrap().frames, 2);
+        rx.on_bytes(&tx.take_staged()).unwrap();
+        let logs = rx.into_demux().into_segment_logs();
+        assert_eq!(endpoints(&logs[&1]), endpoints(&segs), "nothing lost or duplicated");
+    }
+
+    #[test]
+    fn the_frame_cap_splits_runs_so_no_frame_is_oversized() {
+        // Credit for everything, but a frame holds at most four
+        // segments: 17 + 9 + 4 × 34 = 162 ≤ 170 < 196.
+        let cfg = NetConfig { window: 1 << 16, max_frame: 170 };
+        let mut tx = MuxSender::new(FixedCodec, 1, cfg);
+        let mut rx = crate::NetReceiver::new(FixedCodec, 1, cfg);
+        let segs = run(10);
+        let mut at = 0;
+        while at < segs.len() {
+            let sent = tx.try_send_segments(2, &segs[at..]).unwrap();
+            assert!(sent <= 4, "frame of {sent} segments exceeds the cap");
+            at += sent;
+        }
+        assert_eq!(tx.stream_stats(2).unwrap().frames, 3);
+        rx.on_bytes(&tx.take_staged()).expect("no frame exceeds max_frame");
+        let logs = rx.into_demux().into_segment_logs();
+        assert_eq!(endpoints(&logs[&2]), endpoints(&segs));
     }
 }

@@ -81,6 +81,31 @@ fn logs_strategy() -> impl Strategy<Value = Vec<Vec<Segment>>> {
     )
 }
 
+/// Every stream's log as one-segment runs: one `Data` frame per segment.
+fn one_segment_runs(logs: &[Vec<Segment>]) -> Vec<Vec<usize>> {
+    logs.iter().map(|log| vec![1; log.len()]).collect()
+}
+
+/// Splits every stream's log into runs: a run ends after segment `i`
+/// when `cuts[stream][i]` is set, and after the last segment.
+fn runs_from_cuts(logs: &[Vec<Segment>], cuts: &[Vec<bool>]) -> Vec<Vec<usize>> {
+    logs.iter()
+        .zip(cuts)
+        .map(|(log, cut)| {
+            let mut runs = Vec::new();
+            let mut len = 0;
+            for (i, &cut_here) in cut.iter().enumerate().take(log.len()) {
+                len += 1;
+                if cut_here || i + 1 == log.len() {
+                    runs.push(len);
+                    len = 0;
+                }
+            }
+            runs
+        })
+        .collect()
+}
+
 /// Turns one seed per connection into that connection's fault-plan
 /// queue: seed 0 = healthy, anything else = two seeded storms (first
 /// and second link) before the redial queue runs dry and goes clean —
@@ -103,11 +128,14 @@ fn plans_from_seeds(seeds: &[u64]) -> Vec<Vec<FaultPlan>> {
 
 /// Runs the full session-mode fan-in under a pump interleaving and
 /// per-connection fault-plan queues, returning the store snapshot.
+/// `runs[stream]` lists the lengths of the runs the stream's log is
+/// sent as, one `Data` frame each.
 /// Every recovery in here is automatic: a faulted link dies, the
 /// session machine backs off, redials, presents its token, and resumes
 /// from the collector's cursors.
 fn run_chaos(
     logs: &[Vec<Segment>],
+    runs: &[Vec<usize>],
     schedule: &[usize],
     plans: Vec<Vec<FaultPlan>>,
 ) -> StoreSnapshot {
@@ -128,8 +156,12 @@ fn run_chaos(
             let mut sess = SessionSender::new(FixedCodec, 1, cfg, sess_cfg, redial, epoch);
             for s in 0..STREAMS_PER_CONN {
                 let stream = c as u64 * STREAMS_PER_CONN + s;
-                for seg in &logs[stream as usize] {
-                    sess.mux_mut().try_send_segment(stream, seg).expect("roomy window");
+                let mut rest = &logs[stream as usize][..];
+                for &len in &runs[stream as usize] {
+                    let (run, tail) = rest.split_at(len);
+                    let sent = sess.mux_mut().try_send_segments(stream, run);
+                    assert_eq!(sent, Ok(len), "roomy window: a run is one frame");
+                    rest = tail;
                 }
                 sess.mux_mut().finish_stream(stream).expect("fin");
             }
@@ -208,8 +240,9 @@ proptest! {
         logs in logs_strategy(),
         schedule in prop::collection::vec(0usize..CONNS, 1..64),
     ) {
-        let reference = run_chaos(&logs, &[0, 1, 2, 3, 4, 5, 6, 7], plans_from_seeds(&[0; CONNS]));
-        let got = run_chaos(&logs, &schedule, plans_from_seeds(&[0; CONNS]));
+        let single = one_segment_runs(&logs);
+        let reference = run_chaos(&logs, &single, &[0, 1, 2, 3, 4, 5, 6, 7], plans_from_seeds(&[0; CONNS]));
+        let got = run_chaos(&logs, &single, &schedule, plans_from_seeds(&[0; CONNS]));
         assert_converged(&got, &reference);
     }
 
@@ -224,8 +257,38 @@ proptest! {
         schedule in prop::collection::vec(0usize..CONNS, 1..64),
         seeds in prop::collection::vec(0u64..1_000_000, CONNS),
     ) {
-        let reference = run_chaos(&logs, &[0, 1, 2, 3, 4, 5, 6, 7], plans_from_seeds(&[0; CONNS]));
-        let got = run_chaos(&logs, &schedule, plans_from_seeds(&seeds));
+        let single = one_segment_runs(&logs);
+        let reference = run_chaos(&logs, &single, &[0, 1, 2, 3, 4, 5, 6, 7], plans_from_seeds(&[0; CONNS]));
+        let got = run_chaos(&logs, &single, &schedule, plans_from_seeds(&seeds));
+        assert_converged(&got, &reference);
+    }
+
+    /// Framing independence: each stream's log cut into arbitrary runs,
+    /// one `Data` frame per run, under the same fault storms, converges
+    /// to the fault-free snapshot of one-segment frames — the store's
+    /// answer cannot depend on how segments were framed.
+    #[test]
+    fn run_framing_under_fault_storms_matches_one_segment_frames(
+        logs in logs_strategy(),
+        cuts in prop::collection::vec(
+            prop::collection::vec(any::<bool>(), 3),
+            CONNS * STREAMS_PER_CONN as usize,
+        ),
+        schedule in prop::collection::vec(0usize..CONNS, 1..64),
+        seeds in prop::collection::vec(0u64..1_000_000, CONNS),
+    ) {
+        let reference = run_chaos(
+            &logs,
+            &one_segment_runs(&logs),
+            &[0, 1, 2, 3, 4, 5, 6, 7],
+            plans_from_seeds(&[0; CONNS]),
+        );
+        let got = run_chaos(
+            &logs,
+            &runs_from_cuts(&logs, &cuts),
+            &schedule,
+            plans_from_seeds(&seeds),
+        );
         assert_converged(&got, &reference);
     }
 }
@@ -254,7 +317,12 @@ fn corpus_logs() -> Vec<Vec<Segment>> {
 }
 
 fn corpus_reference(logs: &[Vec<Segment>]) -> StoreSnapshot {
-    run_chaos(logs, &[0, 1, 2, 3, 4, 5, 6, 7], plans_from_seeds(&[0; CONNS]))
+    run_chaos(
+        logs,
+        &one_segment_runs(logs),
+        &[0, 1, 2, 3, 4, 5, 6, 7],
+        plans_from_seeds(&[0; CONNS]),
+    )
 }
 
 /// Regression: the very first dial's `Hello` never arrives (sever at
@@ -266,7 +334,7 @@ fn regression_hello_severed_on_first_dial() {
     for queue in &mut plans {
         *queue = vec![FaultPlan::new(vec![Fault::Sever { frame: 0 }])];
     }
-    let got = run_chaos(&logs, &[3, 1, 4, 1, 5, 0, 2, 6], plans);
+    let got = run_chaos(&logs, &one_segment_runs(&logs), &[3, 1, 4, 1, 5, 0, 2, 6], plans);
     assert_converged(&got, &corpus_reference(&logs));
 }
 
@@ -282,7 +350,7 @@ fn regression_duplicate_then_midstream_truncate() {
         Fault::Truncate { frame: 6, keep: 7 },
     ])];
     plans[5] = vec![FaultPlan::new(vec![Fault::Delay { read_call: 2, rounds: 3 }])];
-    let got = run_chaos(&logs, &[0, 1, 2, 3, 4, 5, 6, 7], plans);
+    let got = run_chaos(&logs, &one_segment_runs(&logs), &[0, 1, 2, 3, 4, 5, 6, 7], plans);
     assert_converged(&got, &corpus_reference(&logs));
 }
 
@@ -296,7 +364,12 @@ fn regression_seed_corpus_storms_every_connection() {
         [7u64, 7, 7, 7, 7, 7, 7, 7],
         [999_983u64, 2, 65_537, 4_294_967, 12_345, 54_321, 31_337, 161_803],
     ] {
-        let got = run_chaos(&logs, &[1, 0, 3, 2, 5, 4, 7, 6], plans_from_seeds(&seeds));
+        let got = run_chaos(
+            &logs,
+            &one_segment_runs(&logs),
+            &[1, 0, 3, 2, 5, 4, 7, 6],
+            plans_from_seeds(&seeds),
+        );
         assert_converged(&got, &corpus_reference(&logs));
     }
 }
